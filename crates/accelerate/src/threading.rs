@@ -2,7 +2,7 @@
 //!
 //! Accelerate parallelizes large GEMMs across the performance cluster; the
 //! simulator's functional path does the same on host threads: the output
-//! row range is split into contiguous blocks, one crossbeam scoped thread
+//! row range is split into contiguous blocks, one `std` scoped thread
 //! per block. (The *modeled* time comes from the AMX model — host threads
 //! only make functional verification fast.)
 
@@ -60,13 +60,12 @@ pub fn parallel_row_blocks<F>(
         consumed = range.end * row_len;
         remaining = tail;
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (range, slice) in work {
             let body = &body;
-            scope.spawn(move |_| body(range, slice));
+            scope.spawn(move || body(range, slice));
         }
-    })
-    .expect("parallel row-block execution panicked");
+    });
 }
 
 #[cfg(test)]

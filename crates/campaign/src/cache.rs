@@ -35,7 +35,9 @@ use oranges_harness::metric::MetricSet;
 use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -174,6 +176,11 @@ impl ResultCache {
     /// preserving value identity. Non-finite values are rejected here,
     /// at write time: they would serialize as `null` and produce a file
     /// [`load`](ResultCache::load) can never parse.
+    ///
+    /// The document goes to a `.tmp` sibling first, which is synced and
+    /// then renamed over `path` (and the directory synced): a crash at
+    /// any byte leaves either the previous file or the new one, never a
+    /// torn mix.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CachePersistError> {
         let store = self.inner.store.lock().expect("cache lock");
         let mut keyed: Vec<(&UnitKey, &Arc<ExperimentOutput>)> = store.iter().collect();
@@ -199,8 +206,28 @@ impl ResultCache {
         drop(store);
         let text = oranges_harness::json::to_json_string(&document)
             .map_err(|e| CachePersistError::Serialize(e.to_string()))?;
-        std::fs::write(path.as_ref(), text)
-            .map_err(|e| CachePersistError::Io(path.as_ref().display().to_string(), e.to_string()))
+        let path = path.as_ref();
+        let temp = temp_sibling(path);
+        let io = |at: &Path, e: std::io::Error| {
+            CachePersistError::Io(at.display().to_string(), e.to_string())
+        };
+        let staged = File::create(&temp).and_then(|mut file| {
+            file.write_all(text.as_bytes())?;
+            file.sync_all()
+        });
+        if let Err(e) = staged {
+            let _ = std::fs::remove_file(&temp);
+            return Err(io(&temp, e));
+        }
+        std::fs::rename(&temp, path).map_err(|e| io(path, e))?;
+        // The rename is durable only once the directory entry is.
+        let dir = match path.parent() {
+            Some(dir) if !dir.as_os_str().is_empty() => dir,
+            _ => Path::new("."),
+        };
+        File::open(dir)
+            .and_then(|dir| dir.sync_all())
+            .map_err(|e| io(dir, e))
     }
 
     /// Rebuild a cache from a [`save`](ResultCache::save)d file,
@@ -504,6 +531,15 @@ impl fmt::Display for CachePersistError {
 }
 
 impl std::error::Error for CachePersistError {}
+
+/// Where [`ResultCache::save`] stages its document: `path` with `.tmp`
+/// appended, in the same directory so the final rename stays on one
+/// filesystem.
+fn temp_sibling(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
 
 #[cfg(test)]
 mod tests {
@@ -858,6 +894,30 @@ mod tests {
         // The intact document still loads.
         std::fs::write(&path, &full).expect("restore");
         assert_eq!(ResultCache::load(&path).expect("intact").stats().entries, 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn save_replaces_the_file_whole_and_a_failed_save_keeps_the_old_one() {
+        let cache = ResultCache::new();
+        cache.insert(key("fig1"), output(1.0));
+        let path = temp_path("replace");
+        let temp = temp_sibling(&path);
+        cache.save(&path).expect("first save");
+        cache.insert(key("fig2"), output(2.0));
+        cache.save(&path).expect("save over an existing file");
+        assert!(!temp.exists(), "no temp sibling is left behind");
+        let before = std::fs::read(&path).expect("saved bytes");
+
+        // A directory squatting on the temp path makes the staging write
+        // fail; the previous file must survive byte for byte.
+        std::fs::create_dir(&temp).expect("block the temp path");
+        cache.insert(key("fig3"), output(3.0));
+        let failed = cache.save(&path);
+        std::fs::remove_dir(&temp).ok();
+        assert!(matches!(failed, Err(CachePersistError::Io(_, _))));
+        assert_eq!(std::fs::read(&path).expect("still there"), before);
+        assert_eq!(ResultCache::load(&path).expect("loads").stats().entries, 2);
         std::fs::remove_file(&path).ok();
     }
 

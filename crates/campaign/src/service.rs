@@ -115,7 +115,7 @@ use crate::spec::{CampaignSpec, SpecParseError};
 use oranges::experiments::ExperimentOutput;
 use oranges_harness::envelope::{EnvelopeError, Request, Response};
 use oranges_harness::json::{self, JsonValue};
-use oranges_harness::obs::{CampaignEvent, EventKind, EventStream, Exposition};
+use oranges_harness::obs::{CampaignEvent, EventKind, EventStream, Exposition, HistogramSnapshot};
 use oranges_harness::reactor::{
     Event, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
 };
@@ -402,6 +402,25 @@ impl ServiceShared {
             event_subscribers: self.engine.event_subscribers() as u64,
             workers_alive: self.engine.alive_workers() as u64,
             reactor_registered_connections: self.reactor_connections.load(Ordering::Relaxed),
+        }
+    }
+
+    /// One snapshot for a `stats` body.
+    fn stats(&self) -> ServiceStats {
+        ServiceStats {
+            cache: self.cache.stats(),
+            model_digest: self.cache.model_digest().to_string(),
+            summary: self.summary(),
+            gauges: self.gauges(),
+        }
+    }
+
+    /// One snapshot for a `metrics` exposition.
+    fn scrape(&self) -> Scrape {
+        Scrape {
+            stats: self.stats(),
+            workers_configured: self.engine.workers() as u64,
+            latencies: self.engine.latency_snapshots(),
         }
     }
 
@@ -935,17 +954,12 @@ impl<T: Transport> Dispatcher<'_, T> {
             "ping" => self.respond(token, &Response::ok(request.id, "pong")),
             "stats" => {
                 self.sync_reactor_counters();
-                let body = stats_body(
-                    &self.shared.cache.stats(),
-                    self.shared.cache.model_digest(),
-                    &self.shared.summary(),
-                    &self.shared.gauges(),
-                );
+                let body = stats_body(self.shared.stats());
                 self.respond(token, &Response::ok(request.id, "stats").with_body(body));
             }
             "metrics" => {
                 self.sync_reactor_counters();
-                let text = metrics_text(self.shared);
+                let text = metrics_text(self.shared.scrape());
                 self.respond(
                     token,
                     &Response::ok(request.id, "metrics").with_body(JsonValue::String(text)),
@@ -1509,194 +1523,255 @@ const SUBSCRIBE_BUFFER: usize = 1024;
 /// (the heartbeat write fails).
 const SUBSCRIBE_HEARTBEAT: Duration = Duration::from_secs(5);
 
-/// Render the full metrics exposition: service + engine counters, the
-/// point-in-time gauges, and one latency histogram per experiment —
-/// the same counter set `stats` reports, in scrapeable form.
-fn metrics_text(shared: &ServiceShared) -> String {
-    let summary = shared.summary();
-    let gauges = shared.gauges();
-    let cache = shared.cache.stats();
-    let mut exp = Exposition::new();
-    exp.counter(
-        "oranges_connections_total",
-        "Connections accepted over the daemon's lifetime.",
-        &[],
-        summary.connections,
-    );
-    exp.counter(
-        "oranges_requests_total",
-        "Requests dispatched (all methods).",
-        &[],
-        summary.requests,
-    );
-    exp.counter(
-        "oranges_runs_total",
-        "Run requests completed successfully.",
-        &[],
-        summary.runs,
-    );
-    exp.counter(
-        "oranges_units_streamed_total",
-        "Unit responses streamed to clients.",
-        &[],
-        summary.units_streamed,
-    );
-    exp.counter(
-        "oranges_units_submitted_total",
-        "Units submitted to the shared engine.",
-        &[],
-        summary.units_submitted,
-    );
-    exp.counter(
-        "oranges_units_total",
-        "Units resolved, by how the engine satisfied them.",
-        &[("source", "computed")],
-        summary.units_computed,
-    );
-    exp.counter(
-        "oranges_units_total",
-        "Units resolved, by how the engine satisfied them.",
-        &[("source", "cache")],
-        summary.unit_cache_hits,
-    );
-    exp.counter(
-        "oranges_units_total",
-        "Units resolved, by how the engine satisfied them.",
-        &[("source", "coalesced")],
-        summary.coalesced_joins,
-    );
-    exp.counter(
-        "oranges_units_failed_total",
-        "Units that failed (experiment error or contained panic).",
-        &[],
-        summary.units_failed,
-    );
-    exp.counter(
-        "oranges_units_cancelled_total",
-        "Queued units abandoned by cancellation before a worker ran them.",
-        &[],
-        summary.units_cancelled,
-    );
-    exp.counter(
-        "oranges_deadline_expired_total",
-        "Unit deliveries failed because their submission's deadline passed.",
-        &[],
-        summary.deadline_expired,
-    );
-    exp.counter(
-        "oranges_submissions_rejected_total",
-        "Whole submissions rejected at admission (engine queue full).",
-        &[],
-        summary.submissions_rejected,
-    );
-    exp.counter(
-        "oranges_events_dropped_total",
-        "Lifecycle events dropped on full subscriber buffers.",
-        &[],
-        summary.events_dropped,
-    );
-    exp.counter(
-        "oranges_reactor_wakeups_total",
-        "Reactor wakeups dispatched, by kind.",
-        &[("kind", "notify")],
-        summary.reactor_notify_wakeups,
-    );
-    exp.counter(
-        "oranges_reactor_wakeups_total",
-        "Reactor wakeups dispatched, by kind.",
-        &[("kind", "timer")],
-        summary.reactor_timer_wakeups,
-    );
-    exp.counter(
-        "oranges_cache_lookups_total",
+/// Whether an exported number is cumulative or point-in-time.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// Where a [`Row`]'s number comes from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// A `stats` body member under this key. The accessor projects
+    /// mutably so the client parser fills the member back in through
+    /// the row it was rendered from.
+    Stats(&'static str, fn(&mut ServiceStats) -> &mut u64),
+    /// Exposition only: no `stats` key.
+    Metrics(fn(&Scrape) -> u64),
+}
+use Source::{Metrics, Stats};
+
+/// An exposition family and its labels: one sample line.
+type Sample = (&'static str, &'static [(&'static str, &'static str)]);
+
+/// One exported number: its sample, HELP text, kind and source.
+#[derive(Debug)]
+struct Row {
+    sample: Sample,
+    help: &'static str,
+    kind: Kind,
+    source: Source,
+}
+
+impl Row {
+    const fn counter(sample: Sample, help: &'static str, source: Source) -> Row {
+        Row {
+            sample,
+            help,
+            kind: Kind::Counter,
+            source,
+        }
+    }
+
+    const fn gauge(sample: Sample, help: &'static str, source: Source) -> Row {
+        Row {
+            sample,
+            help,
+            kind: Kind::Gauge,
+            source,
+        }
+    }
+
+    /// This row's number in `scrape` (`&mut` only because a `stats`
+    /// accessor projects mutably).
+    fn value(&self, scrape: &mut Scrape) -> u64 {
+        match self.source {
+            Stats(_, field) => *field(&mut scrape.stats),
+            Metrics(read) => read(scrape),
+        }
+    }
+}
+
+/// The one counter registry: `stats_body`, the client's
+/// `parse_stats_body` and `metrics_text` are loops over it, so the
+/// `stats` body and the exposition agree by construction. `stats`
+/// members appear in the PROTOCOL §6 key order; a family's samples are
+/// adjacent.
+const COUNTERS: &[Row] = &[
+    Row::counter(
+        ("oranges_cache_lookups_total", &[("result", "hit")]),
         "Warm-cache lookups, by result.",
-        &[("result", "hit")],
-        cache.hits,
-    );
-    exp.counter(
-        "oranges_cache_lookups_total",
+        Metrics(|s| s.stats.cache.hits),
+    ),
+    Row::counter(
+        ("oranges_cache_lookups_total", &[("result", "miss")]),
         "Warm-cache lookups, by result.",
-        &[("result", "miss")],
-        cache.misses,
-    );
-    exp.gauge(
-        "oranges_cache_entries",
+        Metrics(|s| s.stats.cache.misses),
+    ),
+    Row::gauge(
+        ("oranges_cache_entries", &[]),
         "Entries in the warm cache.",
-        &[],
-        cache.entries as f64,
-    );
-    exp.gauge(
-        "oranges_active_connections",
+        Metrics(|s| s.stats.cache.entries as u64),
+    ),
+    Row::counter(
+        ("oranges_connections_total", &[]),
+        "Connections accepted over the daemon's lifetime.",
+        Stats("connections", |s| &mut s.summary.connections),
+    ),
+    Row::gauge(
+        ("oranges_active_connections", &[]),
         "Connections currently open.",
-        &[],
-        summary.active_connections as f64,
-    );
-    exp.gauge(
-        "oranges_queue_depth",
+        Stats("active_connections", |s| &mut s.summary.active_connections),
+    ),
+    Row::counter(
+        ("oranges_requests_total", &[]),
+        "Requests dispatched (all methods).",
+        Stats("requests", |s| &mut s.summary.requests),
+    ),
+    Row::counter(
+        ("oranges_runs_total", &[]),
+        "Run requests completed successfully.",
+        Stats("runs", |s| &mut s.summary.runs),
+    ),
+    Row::counter(
+        ("oranges_units_streamed_total", &[]),
+        "Unit responses streamed to clients.",
+        Stats("units_streamed", |s| &mut s.summary.units_streamed),
+    ),
+    Row::counter(
+        ("oranges_units_total", &[("source", "computed")]),
+        "Units resolved, by how the engine satisfied them.",
+        Stats("units_computed", |s| &mut s.summary.units_computed),
+    ),
+    Row::counter(
+        ("oranges_units_total", &[("source", "cache")]),
+        "Units resolved, by how the engine satisfied them.",
+        Stats("unit_cache_hits", |s| &mut s.summary.unit_cache_hits),
+    ),
+    Row::counter(
+        ("oranges_units_total", &[("source", "coalesced")]),
+        "Units resolved, by how the engine satisfied them.",
+        Stats("coalesced_joins", |s| &mut s.summary.coalesced_joins),
+    ),
+    Row::counter(
+        ("oranges_units_submitted_total", &[]),
+        "Units submitted to the shared engine.",
+        Stats("units_submitted", |s| &mut s.summary.units_submitted),
+    ),
+    Row::counter(
+        ("oranges_units_failed_total", &[]),
+        "Units that failed (experiment error or contained panic).",
+        Stats("units_failed", |s| &mut s.summary.units_failed),
+    ),
+    Row::counter(
+        ("oranges_units_cancelled_total", &[]),
+        "Queued units abandoned by cancellation before a worker ran them.",
+        Stats("units_cancelled", |s| &mut s.summary.units_cancelled),
+    ),
+    Row::counter(
+        ("oranges_deadline_expired_total", &[]),
+        "Unit deliveries failed because their submission's deadline passed.",
+        Stats("deadline_expired", |s| &mut s.summary.deadline_expired),
+    ),
+    Row::counter(
+        ("oranges_submissions_rejected_total", &[]),
+        "Whole submissions rejected at admission (engine queue full).",
+        Stats("submissions_rejected", |s| {
+            &mut s.summary.submissions_rejected
+        }),
+    ),
+    Row::counter(
+        ("oranges_events_dropped_total", &[]),
+        "Lifecycle events dropped on full subscriber buffers.",
+        Stats("events_dropped", |s| &mut s.summary.events_dropped),
+    ),
+    Row::counter(
+        ("oranges_reactor_wakeups_total", &[("kind", "notify")]),
+        "Reactor wakeups dispatched, by kind.",
+        Stats("reactor_notify_wakeups", |s| {
+            &mut s.summary.reactor_notify_wakeups
+        }),
+    ),
+    Row::counter(
+        ("oranges_reactor_wakeups_total", &[("kind", "timer")]),
+        "Reactor wakeups dispatched, by kind.",
+        Stats("reactor_timer_wakeups", |s| {
+            &mut s.summary.reactor_timer_wakeups
+        }),
+    ),
+    Row::gauge(
+        ("oranges_queue_depth", &[]),
         "Engine jobs queued but not yet picked up by a worker.",
-        &[],
-        gauges.queue_depth as f64,
-    );
-    exp.gauge(
-        "oranges_priority_queue_depth",
+        Stats("queue_depth", |s| &mut s.gauges.queue_depth),
+    ),
+    Row::gauge(
+        ("oranges_priority_queue_depth", &[("priority", "high")]),
         "Engine jobs queued, by priority class.",
-        &[("priority", "high")],
-        gauges.queue_high as f64,
-    );
-    exp.gauge(
-        "oranges_priority_queue_depth",
+        Stats("queue_high", |s| &mut s.gauges.queue_high),
+    ),
+    Row::gauge(
+        ("oranges_priority_queue_depth", &[("priority", "normal")]),
         "Engine jobs queued, by priority class.",
-        &[("priority", "normal")],
-        gauges.queue_normal as f64,
-    );
-    exp.gauge(
-        "oranges_priority_queue_depth",
+        Stats("queue_normal", |s| &mut s.gauges.queue_normal),
+    ),
+    Row::gauge(
+        ("oranges_priority_queue_depth", &[("priority", "batch")]),
         "Engine jobs queued, by priority class.",
-        &[("priority", "batch")],
-        gauges.queue_batch as f64,
-    );
-    exp.gauge(
-        "oranges_units_inflight",
+        Stats("queue_batch", |s| &mut s.gauges.queue_batch),
+    ),
+    Row::gauge(
+        ("oranges_units_inflight", &[]),
         "Units currently in flight (queued or computing).",
-        &[],
-        gauges.units_inflight as f64,
-    );
-    exp.gauge(
-        "oranges_event_subscribers",
+        Stats("units_inflight", |s| &mut s.gauges.units_inflight),
+    ),
+    Row::gauge(
+        ("oranges_event_subscribers", &[]),
         "Live event subscribers.",
-        &[],
-        gauges.event_subscribers as f64,
-    );
-    exp.gauge(
-        "oranges_workers_alive",
+        Stats("event_subscribers", |s| &mut s.gauges.event_subscribers),
+    ),
+    Row::gauge(
+        ("oranges_workers_alive", &[]),
         "Engine worker threads still running.",
-        &[],
-        gauges.workers_alive as f64,
-    );
-    exp.gauge(
-        "oranges_reactor_registered_connections",
-        "Connections registered in the service reactor's table.",
-        &[],
-        gauges.reactor_registered_connections as f64,
-    );
-    exp.gauge(
-        "oranges_workers_configured",
+        Stats("workers_alive", |s| &mut s.gauges.workers_alive),
+    ),
+    Row::gauge(
+        ("oranges_workers_configured", &[]),
         "Engine worker threads configured at bind.",
-        &[],
-        shared.engine.workers() as f64,
-    );
+        Metrics(|s| s.workers_configured),
+    ),
+    Row::gauge(
+        ("oranges_reactor_registered_connections", &[]),
+        "Connections registered in the service reactor's table.",
+        Stats("reactor_registered_connections", |s| {
+            &mut s.gauges.reactor_registered_connections
+        }),
+    ),
+];
+
+/// What one `metrics` scrape renders: the `stats` snapshot plus the
+/// parts only the exposition carries.
+#[derive(Debug)]
+struct Scrape {
+    stats: ServiceStats,
+    workers_configured: u64,
+    latencies: Vec<(String, HistogramSnapshot)>,
+}
+
+/// Render the full metrics exposition: every [`COUNTERS`] row, then the
+/// build-info gauge and one latency histogram per experiment.
+fn metrics_text(mut scrape: Scrape) -> String {
+    let mut exp = Exposition::new();
+    for row in COUNTERS {
+        let value = row.value(&mut scrape);
+        let (family, labels) = row.sample;
+        match row.kind {
+            Kind::Counter => exp.counter(family, row.help, labels, value),
+            Kind::Gauge => exp.gauge(family, row.help, labels, value as f64),
+        }
+    }
     exp.gauge(
         "oranges_build_info",
         "Constant 1, labeled with the model-constants digest.",
-        &[("model_digest", shared.cache.model_digest())],
+        &[("model_digest", &scrape.stats.model_digest)],
         1.0,
     );
-    for (experiment, snapshot) in shared.engine.latency_snapshots() {
+    for (experiment, snapshot) in &scrape.latencies {
         exp.histogram(
             "oranges_unit_latency_seconds",
             "Compute wall time per unit, by experiment.",
-            &[("experiment", &experiment)],
-            &snapshot,
+            &[("experiment", experiment)],
+            snapshot,
         );
     }
     exp.finish()
@@ -1776,109 +1851,45 @@ fn cache_body(stats: &CacheStats) -> JsonValue {
     ])
 }
 
-fn stats_body(
-    stats: &CacheStats,
-    model_digest: &str,
-    summary: &ServiceSummary,
-    gauges: &ServiceGauges,
-) -> JsonValue {
-    JsonValue::Object(vec![
-        ("cache".to_string(), cache_body(stats)),
+/// The `stats` response body: the cache block, the model digest, then
+/// every [`COUNTERS`] row that has a `stats` key.
+fn stats_body(mut stats: ServiceStats) -> JsonValue {
+    let mut fields = vec![
+        ("cache".to_string(), cache_body(&stats.cache)),
         (
             "model_digest".to_string(),
-            JsonValue::String(model_digest.to_string()),
+            JsonValue::String(stats.model_digest.clone()),
         ),
-        (
-            "connections".to_string(),
-            JsonValue::integer(summary.connections),
-        ),
-        (
-            "active_connections".to_string(),
-            JsonValue::integer(summary.active_connections),
-        ),
-        ("requests".to_string(), JsonValue::integer(summary.requests)),
-        ("runs".to_string(), JsonValue::integer(summary.runs)),
-        (
-            "units_streamed".to_string(),
-            JsonValue::integer(summary.units_streamed),
-        ),
-        (
-            "units_computed".to_string(),
-            JsonValue::integer(summary.units_computed),
-        ),
-        (
-            "unit_cache_hits".to_string(),
-            JsonValue::integer(summary.unit_cache_hits),
-        ),
-        (
-            "coalesced_joins".to_string(),
-            JsonValue::integer(summary.coalesced_joins),
-        ),
-        (
-            "units_submitted".to_string(),
-            JsonValue::integer(summary.units_submitted),
-        ),
-        (
-            "units_failed".to_string(),
-            JsonValue::integer(summary.units_failed),
-        ),
-        (
-            "units_cancelled".to_string(),
-            JsonValue::integer(summary.units_cancelled),
-        ),
-        (
-            "deadline_expired".to_string(),
-            JsonValue::integer(summary.deadline_expired),
-        ),
-        (
-            "submissions_rejected".to_string(),
-            JsonValue::integer(summary.submissions_rejected),
-        ),
-        (
-            "events_dropped".to_string(),
-            JsonValue::integer(summary.events_dropped),
-        ),
-        (
-            "reactor_notify_wakeups".to_string(),
-            JsonValue::integer(summary.reactor_notify_wakeups),
-        ),
-        (
-            "reactor_timer_wakeups".to_string(),
-            JsonValue::integer(summary.reactor_timer_wakeups),
-        ),
-        (
-            "queue_depth".to_string(),
-            JsonValue::integer(gauges.queue_depth),
-        ),
-        (
-            "queue_high".to_string(),
-            JsonValue::integer(gauges.queue_high),
-        ),
-        (
-            "queue_normal".to_string(),
-            JsonValue::integer(gauges.queue_normal),
-        ),
-        (
-            "queue_batch".to_string(),
-            JsonValue::integer(gauges.queue_batch),
-        ),
-        (
-            "units_inflight".to_string(),
-            JsonValue::integer(gauges.units_inflight),
-        ),
-        (
-            "event_subscribers".to_string(),
-            JsonValue::integer(gauges.event_subscribers),
-        ),
-        (
-            "workers_alive".to_string(),
-            JsonValue::integer(gauges.workers_alive),
-        ),
-        (
-            "reactor_registered_connections".to_string(),
-            JsonValue::integer(gauges.reactor_registered_connections),
-        ),
-    ])
+    ];
+    for row in COUNTERS {
+        if let Stats(key, field) = row.source {
+            fields.push((key.to_string(), JsonValue::integer(*field(&mut stats))));
+        }
+    }
+    JsonValue::Object(fields)
+}
+
+/// The client half of [`stats_body`].
+fn parse_stats_body(body: &JsonValue) -> Result<ServiceStats, ServiceError> {
+    let mut stats = ServiceStats {
+        cache: parse_cache_body(body.get("cache").unwrap_or(&JsonValue::Null))?,
+        model_digest: body
+            .get("model_digest")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| ServiceError::Protocol("stats body has no 'model_digest'".into()))?
+            .to_string(),
+        summary: ServiceSummary::default(),
+        gauges: ServiceGauges::default(),
+    };
+    for row in COUNTERS {
+        if let Stats(key, field) = row.source {
+            *field(&mut stats) = body
+                .get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| ServiceError::Protocol(format!("stats body has no '{key}'")))?;
+        }
+    }
+    Ok(stats)
 }
 
 fn parse_cache_body(value: &JsonValue) -> Result<CacheStats, ServiceError> {
@@ -2248,47 +2259,7 @@ impl<T: Transport> ServiceClient<T> {
             .body
             .as_ref()
             .ok_or_else(|| ServiceError::Protocol("stats has no body".into()))?;
-        let counter = |name: &str| {
-            body.get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| ServiceError::Protocol(format!("stats body has no '{name}'")))
-        };
-        Ok(ServiceStats {
-            cache: parse_cache_body(body.get("cache").unwrap_or(&JsonValue::Null))?,
-            model_digest: body
-                .get("model_digest")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| ServiceError::Protocol("stats body has no 'model_digest'".into()))?
-                .to_string(),
-            summary: ServiceSummary {
-                connections: counter("connections")?,
-                active_connections: counter("active_connections")?,
-                requests: counter("requests")?,
-                runs: counter("runs")?,
-                units_streamed: counter("units_streamed")?,
-                units_computed: counter("units_computed")?,
-                unit_cache_hits: counter("unit_cache_hits")?,
-                coalesced_joins: counter("coalesced_joins")?,
-                units_submitted: counter("units_submitted")?,
-                units_failed: counter("units_failed")?,
-                units_cancelled: counter("units_cancelled")?,
-                deadline_expired: counter("deadline_expired")?,
-                submissions_rejected: counter("submissions_rejected")?,
-                events_dropped: counter("events_dropped")?,
-                reactor_notify_wakeups: counter("reactor_notify_wakeups")?,
-                reactor_timer_wakeups: counter("reactor_timer_wakeups")?,
-            },
-            gauges: ServiceGauges {
-                queue_depth: counter("queue_depth")?,
-                queue_high: counter("queue_high")?,
-                queue_normal: counter("queue_normal")?,
-                queue_batch: counter("queue_batch")?,
-                units_inflight: counter("units_inflight")?,
-                event_subscribers: counter("event_subscribers")?,
-                workers_alive: counter("workers_alive")?,
-                reactor_registered_connections: counter("reactor_registered_connections")?,
-            },
-        })
+        parse_stats_body(body)
     }
 
     /// Fetch the daemon's metrics exposition (Prometheus text format).
@@ -2442,6 +2413,7 @@ fn parse_served_unit(body: &JsonValue) -> Result<ServedUnit, ServiceError> {
 mod tests {
     use super::*;
     use oranges_harness::metric::MetricSet;
+    use oranges_harness::obs::Histogram;
     use std::sync::Arc as StdArc;
 
     fn unit_report() -> UnitReport {
@@ -2514,112 +2486,63 @@ mod tests {
         let cache = parse_cache_body(body.get("cache").unwrap()).unwrap();
         assert_eq!(cache, report.cache);
 
-        let summary = ServiceSummary {
-            connections: 3,
-            active_connections: 1,
-            requests: 4,
-            runs: 2,
-            units_streamed: 8,
-            units_computed: 6,
-            unit_cache_hits: 1,
-            coalesced_joins: 1,
-            units_submitted: 8,
-            units_failed: 0,
-            units_cancelled: 1,
-            deadline_expired: 0,
-            submissions_rejected: 2,
-            events_dropped: 2,
-            reactor_notify_wakeups: 7,
-            reactor_timer_wakeups: 3,
+        // The counter table: unique `stats` keys and samples, and each
+        // family's samples adjacent.
+        for (i, row) in COUNTERS.iter().enumerate() {
+            let family = row.sample.0;
+            for earlier in &COUNTERS[..i] {
+                assert_ne!(earlier.sample, row.sample, "sample repeats");
+                let split = earlier.sample.0 == family && COUNTERS[i - 1].sample.0 != family;
+                assert!(!split, "{family}'s samples are not adjacent");
+                if let (Stats(a, _), Stats(b, _)) = (earlier.source, row.source) {
+                    assert_ne!(a, b, "stats key repeats");
+                }
+            }
+        }
+
+        // A distinct value per row: the `stats` members through the
+        // table, the exposition-only inputs by hand.
+        let cache = CacheStats {
+            hits: 1,
+            misses: 2,
+            entries: 3,
         };
-        let gauges = ServiceGauges {
-            queue_depth: 3,
-            queue_high: 1,
-            queue_normal: 0,
-            queue_batch: 2,
-            units_inflight: 5,
-            event_subscribers: 1,
-            workers_alive: 4,
-            reactor_registered_connections: 2,
+        let mut scrape = Scrape {
+            stats: ServiceStats {
+                cache,
+                model_digest: digest.clone(),
+                summary: ServiceSummary::default(),
+                gauges: ServiceGauges::default(),
+            },
+            workers_configured: 4,
+            latencies: vec![("fig4".to_string(), Histogram::latency().snapshot())],
         };
-        let stats = stats_body(&report.cache, &digest, &summary, &gauges);
-        assert_eq!(stats.get("runs").and_then(JsonValue::as_u64), Some(2));
-        assert_eq!(
-            stats.get("model_digest").and_then(JsonValue::as_str),
-            Some(digest.as_str())
-        );
-        assert_eq!(
-            stats.get("coalesced_joins").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats.get("active_connections").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats.get("units_submitted").and_then(JsonValue::as_u64),
-            Some(8)
-        );
-        assert_eq!(
-            stats.get("units_failed").and_then(JsonValue::as_u64),
-            Some(0)
-        );
-        assert_eq!(
-            stats.get("units_cancelled").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats
-                .get("submissions_rejected")
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            stats.get("queue_batch").and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            stats.get("events_dropped").and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            stats.get("queue_depth").and_then(JsonValue::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            stats.get("units_inflight").and_then(JsonValue::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            stats.get("event_subscribers").and_then(JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            stats.get("workers_alive").and_then(JsonValue::as_u64),
-            Some(4)
-        );
-        assert_eq!(
-            stats
-                .get("reactor_notify_wakeups")
-                .and_then(JsonValue::as_u64),
-            Some(7)
-        );
-        assert_eq!(
-            stats
-                .get("reactor_timer_wakeups")
-                .and_then(JsonValue::as_u64),
-            Some(3)
-        );
-        assert_eq!(
-            stats
-                .get("reactor_registered_connections")
-                .and_then(JsonValue::as_u64),
-            Some(2)
-        );
-        assert_eq!(
-            parse_cache_body(stats.get("cache").unwrap()).unwrap(),
-            report.cache
-        );
+        for (i, row) in COUNTERS.iter().enumerate() {
+            if let Stats(_, field) = row.source {
+                *field(&mut scrape.stats) = 100 + i as u64;
+            }
+        }
+        let values: Vec<u64> = COUNTERS.iter().map(|row| row.value(&mut scrape)).collect();
+        let distinct: std::collections::HashSet<&u64> = values.iter().collect();
+        assert_eq!(distinct.len(), COUNTERS.len());
+
+        let parsed = parse_stats_body(&stats_body(scrape.stats.clone())).expect("parses");
+        assert_eq!(parsed, scrape.stats, "the stats body round-trips");
+
+        let text = metrics_text(scrape);
+        let mut expected = vec![
+            format!("oranges_build_info{{model_digest=\"{digest}\"}} 1"),
+            "oranges_unit_latency_seconds_count{experiment=\"fig4\"} 0".to_string(),
+        ];
+        for (row, value) in COUNTERS.iter().zip(values) {
+            let (family, labels) = row.sample;
+            let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+            let sample = format!("{family}{{{}}} {value}", labels.join(","));
+            expected.push(sample.replace("{} ", " "));
+        }
+        for sample in expected {
+            assert!(text.lines().any(|line| line == sample), "missing {sample}");
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@ use crate::error::MetalError;
 use oranges_umem::buffer::{SharedAddressSpace, UnifiedBuffer};
 use oranges_umem::page::is_page_aligned;
 use oranges_umem::StorageMode;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// How a buffer came to exist — used by tests and diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +37,7 @@ pub struct Buffer {
 
 impl std::fmt::Debug for Buffer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let guard = self.inner.read();
+        let guard = self.device_read();
         f.debug_struct("Buffer")
             .field("label", &self.label)
             .field("len", &guard.len())
@@ -118,7 +117,7 @@ impl Buffer {
 
     /// Logical element count.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        self.device_read().len()
     }
 
     /// Whether the buffer is empty.
@@ -128,44 +127,44 @@ impl Buffer {
 
     /// Allocated byte capacity (page multiple).
     pub fn capacity_bytes(&self) -> u64 {
-        self.inner.read().capacity_bytes()
+        self.device_read().capacity_bytes()
     }
 
     /// Simulated base address.
     pub fn base_address(&self) -> u64 {
-        self.inner.read().base_address()
+        self.device_read().base_address()
     }
 
     /// CPU read of the logical contents (contents-pointer analogue).
     pub fn read_to_vec(&self) -> Result<Vec<f32>, MetalError> {
-        Ok(self.inner.read().as_slice()?.to_vec())
+        Ok(self.device_read().as_slice()?.to_vec())
     }
 
     /// CPU write into the buffer.
     pub fn write_from_slice(&self, data: &[f32]) -> Result<(), MetalError> {
-        Ok(self.inner.write().copy_from_slice(data)?)
+        Ok(self.device_write().copy_from_slice(data)?)
     }
 
     /// Run `f` with a read view of the logical contents (CPU side).
     pub fn with_read<R>(&self, f: impl FnOnce(&[f32]) -> R) -> Result<R, MetalError> {
-        let guard = self.inner.read();
+        let guard = self.device_read();
         Ok(f(guard.as_slice()?))
     }
 
     /// Run `f` with a mutable view of the logical contents (CPU side).
     pub fn with_write<R>(&self, f: impl FnOnce(&mut [f32]) -> R) -> Result<R, MetalError> {
-        let mut guard = self.inner.write();
+        let mut guard = self.device_write();
         Ok(f(guard.as_mut_slice()?))
     }
 
     /// Device-side read lock over the full padded extent (executor use).
-    pub(crate) fn device_read(&self) -> parking_lot::RwLockReadGuard<'_, UnifiedBuffer<f32>> {
-        self.inner.read()
+    pub(crate) fn device_read(&self) -> RwLockReadGuard<'_, UnifiedBuffer<f32>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Device-side write lock (executor use).
-    pub(crate) fn device_write(&self) -> parking_lot::RwLockWriteGuard<'_, UnifiedBuffer<f32>> {
-        self.inner.write()
+    pub(crate) fn device_write(&self) -> RwLockWriteGuard<'_, UnifiedBuffer<f32>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Whether two handles alias the same underlying storage.

@@ -11,7 +11,7 @@
 //! ```
 //!
 //! `commit` executes each encoded pass: functionally (real FP32 results,
-//! parallelized over threadgroup bands with crossbeam) when the work volume
+//! parallelized over threadgroup bands on scoped threads) when the work volume
 //! is under the device's functional limit, and always through the timing
 //! model. `wait_until_completed` then exposes per-pass [`PassReport`]s —
 //! the numbers every benchmark in the paper reads.
@@ -333,10 +333,10 @@ fn run_functional(
         per_thread[band_index % threads].push((band_index, range, chunk));
     }
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for bands in per_thread {
             let input_slices = &input_slices;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for (band_index, range, chunk) in bands {
                     kernel.execute_band(BandInvocation {
                         band_index,
@@ -349,8 +349,7 @@ fn run_functional(
                 }
             });
         }
-    })
-    .expect("functional shader execution panicked");
+    });
 
     Ok(())
 }

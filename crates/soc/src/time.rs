@@ -256,7 +256,7 @@ impl fmt::Display for SimInstant {
 /// The clock is intentionally single-threaded (`Cell`): simulated time is a
 /// global ordering decision, and the simulation advances it from the
 /// orchestrating thread even when the *functional* work underneath ran on a
-/// crossbeam pool.
+/// scoped thread pool.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
     now: Cell<u64>,

@@ -14,8 +14,7 @@
 use crate::address::{AddressSpace, Allocation};
 use crate::error::UmemError;
 use crate::page::is_page_aligned;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Metal-style storage mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,24 +45,30 @@ impl SharedAddressSpace {
         SharedAddressSpace::new(AddressSpace::with_gib(gib))
     }
 
+    /// Lock the space, recovering a poisoned lock rather than
+    /// propagating another thread's panic.
+    fn lock(&self) -> MutexGuard<'_, AddressSpace> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Allocate a page-rounded region.
     pub fn allocate(&self, bytes: u64) -> Result<Allocation, UmemError> {
-        self.inner.lock().allocate(bytes)
+        self.lock().allocate(bytes)
     }
 
     /// Free a region.
     pub fn free(&self, alloc: Allocation) {
-        self.inner.lock().free(alloc);
+        self.lock().free(alloc);
     }
 
     /// Bytes currently allocated.
     pub fn allocated(&self) -> u64 {
-        self.inner.lock().allocated()
+        self.lock().allocated()
     }
 
     /// Bytes available.
     pub fn available(&self) -> u64 {
-        self.inner.lock().available()
+        self.lock().available()
     }
 }
 

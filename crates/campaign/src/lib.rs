@@ -55,13 +55,14 @@
 //!   different clients coalesce, and each client's provenance-stamped
 //!   `MetricSet` JSON streams back the moment its units complete;
 //! - [`orchestrate`] — the **shard orchestrator**
-//!   ([`orchestrate::Orchestrator`]): N worker *processes* on this
-//!   host, or — fleet mode ([`Orchestrator::fleet`](orchestrate::Orchestrator::fleet))
-//!   — N remote campaign daemons addressed by
+//!   ([`orchestrate::Orchestrator`]): N campaign daemons — started
+//!   as local child processes, or — fleet mode
+//!   ([`Orchestrator::fleet`](orchestrate::Orchestrator::fleet)) —
+//!   remote ones addressed by
 //!   [`Endpoint`](oranges_harness::transport::Endpoint); either way,
-//!   round-robin [`Plan::shard`](plan::Plan::shard) assignments and
-//!   shard results merged under a strict conflict rule (and the
-//!   model-digest staleness rule) into one unified report,
+//!   round-robin [`Plan::shard`](plan::Plan::shard) assignments sent as
+//!   `run` requests and shard results merged under a strict conflict
+//!   rule (and the model-digest staleness rule) into one unified report,
 //!   value-identical to a single-process run.
 //!
 //! ```text
@@ -74,7 +75,7 @@
 //!  │ service (socket,   │      Experiment::run                 ▲
 //!  │ multiplexed)       │      (oranges crate)                 │
 //!  │ orchestrator (N    │                                      │
-//!  │ worker processes) ─┴──────────────────────────────────────┘
+//!  │ daemons)          ─┴──────────────────────────────────────┘
 //!  └────────────────────┘
 //! ```
 //!

@@ -546,12 +546,19 @@ impl fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one hostile line of
+/// `[[[[…` overflows the stack and aborts the process; every document
+/// this workspace writes (cache files, specs, envelopes) nests fewer
+/// than 16 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected). Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<JsonValue, JsonParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing characters after document", pos));
@@ -581,7 +588,8 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonParseError>
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+/// `depth` counts the containers enclosing the value at `pos`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input", *pos)),
@@ -589,8 +597,12 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
         Some(b't') => parse_literal(bytes, pos, "true", JsonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", JsonValue::Bool(false)),
         Some(b'"') => Ok(JsonValue::String(parse_string(bytes, pos)?)),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[' | b'{') if depth == MAX_DEPTH => Err(err(
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+            *pos,
+        )),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(_) => parse_number(bytes, pos),
     }
 }
@@ -680,7 +692,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError>
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -689,7 +701,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
         return Ok(JsonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -702,7 +714,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     expect(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -715,7 +727,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErr
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         fields.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -868,6 +880,23 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "nul", "1 2", "\"open"] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let shapes: [fn(usize) -> String; 2] = [
+            |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth)),
+            |depth| format!("{}1{}", "{\"a\":".repeat(depth), "}".repeat(depth)),
+        ];
+        for nested in shapes {
+            assert!(parse(&nested(MAX_DEPTH)).is_ok());
+            let error = parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+            assert!(error.message.contains("nesting"), "{error}");
+        }
+        // A depth bomb far past the bound stops at the first level too
+        // deep instead of overflowing the stack.
+        let error = parse(&"[".repeat(200_000)).expect_err("depth bomb");
+        assert_eq!(error.offset, MAX_DEPTH);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!                   save it back after the run — a second invocation
 //!                   with the same PATH is served entirely from disk
 //!   --spawn N       multi-process mode: re-invoke this example as N
-//!                   shard worker processes, merge their caches, and
-//!                   emit one unified (value-identical) report
+//!                   local campaign daemons, dispatch one shard to each
+//!                   exactly as --fleet does, and emit one unified
+//!                   (value-identical) report
 //!   --fleet LIST    fleet mode: dispatch one shard to each of the
 //!                   comma-separated service endpoints (e.g.
 //!                   tcp:hostA:7771,tcp:hostB:7771 — daemons started
@@ -34,8 +35,9 @@ struct Options {
     workers: usize,
     shard: Option<(usize, usize)>,
     cache_path: Option<PathBuf>,
-    spawn: Option<usize>,
-    fleet: Option<Vec<Endpoint>>,
+    /// `--spawn` or `--fleet`: what the shards run on, and the
+    /// orchestrator that dispatches them.
+    orchestrated: Option<(String, Orchestrator)>,
 }
 
 fn parse_options() -> Options {
@@ -43,8 +45,7 @@ fn parse_options() -> Options {
         workers: 4,
         shard: None,
         cache_path: None,
-        spawn: None,
-        fleet: None,
+        orchestrated: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -67,20 +68,31 @@ fn parse_options() -> Options {
             "--cache" => {
                 options.cache_path = Some(PathBuf::from(value("--cache")));
             }
+            "--spawn" | "--fleet" if options.orchestrated.is_some() => {
+                panic!("--spawn and --fleet cannot be combined")
+            }
             "--spawn" => {
-                options.spawn = Some(value("--spawn").parse().expect("--spawn N"));
+                let processes: usize = value("--spawn").parse().expect("--spawn N");
+                let program = std::env::current_exe().expect("own path");
+                options.orchestrated = Some((
+                    format!("{processes} local daemon processes"),
+                    Orchestrator::new(program, processes),
+                ));
             }
             "--fleet" => {
                 let list = value("--fleet");
-                options.fleet = Some(
-                    list.split(',')
-                        .map(|uri| {
-                            uri.trim()
-                                .parse()
-                                .unwrap_or_else(|error| panic!("--fleet: {error}"))
-                        })
-                        .collect(),
-                );
+                let endpoints: Vec<Endpoint> = list
+                    .split(',')
+                    .map(|uri| {
+                        uri.trim()
+                            .parse()
+                            .unwrap_or_else(|error| panic!("--fleet: {error}"))
+                    })
+                    .collect();
+                options.orchestrated = Some((
+                    format!("a {}-daemon fleet ({list})", endpoints.len()),
+                    Orchestrator::fleet(endpoints),
+                ));
             }
             other => panic!("unknown option {other}"),
         }
@@ -129,68 +141,23 @@ fn main() {
         _ => ResultCache::new(),
     };
 
-    // Fleet mode: one shard per remote campaign daemon, streamed back
-    // over the service protocol and merged into one report.
-    if let Some(endpoints) = &options.fleet {
-        assert!(
-            options.shard.is_none() && options.spawn.is_none(),
-            "--fleet cannot be combined with --shard or --spawn: the fleet \
-             orchestrator assigns shards"
-        );
-        println!(
-            "=== Campaign: Figures 1-4 x M1-M4 across a {}-daemon fleet ===\n",
-            endpoints.len()
-        );
-        for (index, endpoint) in endpoints.iter().enumerate() {
-            println!("  shard {index}/{} -> {endpoint}", endpoints.len());
-        }
-        let run = Orchestrator::fleet(endpoints.clone())
-            .run(&spec, &cache)
-            .expect("fleet campaign");
-        println!("\n{}", run.report.render_summary());
-        println!(
-            "\nFleet: {} daemons, merged {} remote units ({} already known, \
-             {} stale-recomputed), assembly computed {} units (0 = the fleet \
-             covered the plan), fingerprint {}",
-            run.processes,
-            run.merged.added,
-            run.merged.identical,
-            run.merged.stale,
-            run.report.computed_units(),
-            run.report.fingerprint(),
-        );
-        if let Some(path) = &options.cache_path {
-            cache.save(path).expect("writable cache file");
-            println!(
-                "Saved {} merged units to {}",
-                cache.stats().entries,
-                path.display()
-            );
-        }
-        return;
-    }
-
-    // Multi-process mode: spawn N copies of this example as shard
-    // workers, merge their caches, and report once.
-    if let Some(processes) = options.spawn {
+    // Orchestrated modes: one shard per campaign daemon — remote fleet
+    // daemons, or N local daemons re-invoking this example — streamed
+    // back over the service protocol and merged into one report.
+    if let Some((daemons, orchestrator)) = &options.orchestrated {
         assert!(
             options.shard.is_none(),
-            "--shard cannot be combined with --spawn: the orchestrator assigns shards"
+            "--shard cannot be combined with --spawn or --fleet: the orchestrator assigns shards"
         );
-        println!(
-            "=== Campaign: Figures 1-4 x M1-M4, {processes} worker processes \
-             ({} threads each) ===\n",
-            spec.workers
-        );
-        let program = std::env::current_exe().expect("own path");
-        let run = Orchestrator::new(program, processes)
+        println!("=== Campaign: Figures 1-4 x M1-M4 across {daemons} ===");
+        let run = orchestrator
             .run(&spec, &cache)
             .expect("orchestrated campaign");
-        println!("{}", run.report.render_summary());
+        println!("\n{}", run.report.render_summary());
         println!(
-            "\nOrchestrator: {} processes, merged {} shard entries ({} already known, \
-             {} stale-invalidated), assembly computed {} units (0 = shards covered the \
-             plan), fingerprint {}",
+            "\nOrchestrator: {} daemons, merged {} shard units ({} already known, \
+             {} stale-recomputed), assembly computed {} units (0 = the shards \
+             covered the plan), fingerprint {}",
             run.processes,
             run.merged.added,
             run.merged.identical,

@@ -1,26 +1,25 @@
-//! Standalone shard-worker binary for the multi-process orchestrator.
+//! Standalone worker binary for the local-mode orchestrator: a minimal
+//! campaign daemon.
 //!
 //! The orchestrator can drive any program that calls
 //! [`oranges_campaign::orchestrate::maybe_run_worker`] first thing in
 //! `main`; this binary is the minimal such program. The integration
 //! tests (`tests/orchestrator.rs`) point [`Orchestrator`] at it via
-//! `CARGO_BIN_EXE_campaign_worker`, and it doubles as a deployable
-//! worker for ad-hoc multi-process runs:
+//! `CARGO_BIN_EXE_campaign_worker`. The orchestrator starts it as
 //!
 //! ```text
-//! campaign_worker --campaign-worker --spec-json '<CampaignSpec JSON>' \
-//!     --shard 0/4 --cache-out /tmp/shard-0.json [--cache-in /tmp/warm.json]
+//! campaign_worker --campaign-worker --listen unix:<scratch>/w0.sock \
+//!     --workers 4 [--cache-in <scratch>/warm.json]
 //! ```
 //!
-//! Process workers are the *same-host* scale-out shape: they exchange
-//! shards through cache files on a shared filesystem. For workers on
-//! **other hosts**, run the campaign daemon there instead
+//! and it prints its endpoint on stdout once bound, then serves the
+//! service protocol (docs/PROTOCOL.md) until a `shutdown` request. For
+//! workers on **other hosts**, run the campaign daemon there instead
 //! (`cargo run --example serve -- --listen tcp:0.0.0.0:7771`) and point
 //! the fleet orchestrator at it
 //! ([`Orchestrator::fleet`](oranges_campaign::orchestrate::Orchestrator::fleet),
-//! or `--example campaign -- --fleet tcp:hostA:7771,tcp:hostB:7771`):
-//! shards then travel over the service protocol (docs/PROTOCOL.md)
-//! and no shared filesystem is needed — see docs/OPERATIONS.md.
+//! or `--example campaign -- --fleet tcp:hostA:7771,tcp:hostB:7771`) —
+//! see docs/OPERATIONS.md.
 //!
 //! [`Orchestrator`]: oranges_campaign::orchestrate::Orchestrator
 
@@ -30,7 +29,7 @@ fn main() {
         None => {
             eprintln!(
                 "campaign_worker runs only as an orchestrator child; \
-                 pass {} --spec-json <json> --shard I/N --cache-out <path>",
+                 pass {} --listen <uri> --workers N [--cache-in <path>]",
                 oranges_campaign::orchestrate::WORKER_FLAG
             );
             std::process::exit(2);

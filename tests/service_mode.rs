@@ -244,6 +244,36 @@ fn a_client_vanishing_mid_request_does_not_kill_the_daemon_over<T: TestTransport
     assert_eq!(summary.connections, 2);
 }
 
+fn a_nesting_bomb_is_an_in_band_error_and_the_daemon_keeps_serving_over<T: TestTransport>() {
+    use oranges_harness::envelope::Response;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (endpoint, daemon) = start_daemon::<T>("depth-bomb", |c| c);
+    // One request nesting 200 000 arrays deep: a parser that recursed
+    // once per level without a bound would overflow the daemon's stack
+    // and abort the whole process.
+    let mut bomb = T::connect(&endpoint).expect("connect");
+    let line = format!(
+        "{{\"id\":2,\"method\":\"run\",\"body\":{}\n",
+        "[".repeat(200_000)
+    );
+    bomb.write_all(line.as_bytes()).expect("send the deep line");
+    let mut answer = String::new();
+    BufReader::new(bomb)
+        .read_line(&mut answer)
+        .expect("read the answer");
+    let response = Response::from_line(&answer).expect("a well-formed response");
+    assert_eq!(response.kind, "error");
+    let error = response.error.expect("an in-band error");
+    assert!(error.contains("nesting deeper than"), "{error}");
+
+    // The daemon survived: a new connection is still answered.
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect again");
+    client.ping().expect("still serving");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
 fn shutdown_drains_even_with_an_idle_connection_open_over<T: TestTransport>() {
     // Regression: a client that connects and then goes quiet must not
     // block shutdown — its handler thread is parked in a blocking read,
@@ -1051,6 +1081,12 @@ macro_rules! transport_matrix {
             #[test]
             fn a_client_vanishing_mid_request_does_not_kill_the_daemon() {
                 a_client_vanishing_mid_request_does_not_kill_the_daemon_over::<$transport>();
+            }
+
+            #[test]
+            fn a_nesting_bomb_is_an_in_band_error_and_the_daemon_keeps_serving() {
+                a_nesting_bomb_is_an_in_band_error_and_the_daemon_keeps_serving_over::<$transport>(
+                );
             }
 
             #[test]

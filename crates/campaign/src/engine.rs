@@ -47,7 +47,7 @@ use crate::scheduler::CampaignError;
 use oranges::experiments::ExperimentOutput;
 use oranges::platform::PlatformPool;
 use oranges_harness::obs::{
-    CampaignEvent, EventBroadcaster, EventKind, EventStream, Histogram, HistogramSnapshot,
+    CampaignEvent, EventBroadcaster, EventKind, Histogram, HistogramSnapshot,
 };
 use oranges_soc::chip::ChipGeneration;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -318,8 +318,10 @@ pub struct EngineStats {
     pub deadline_expired: u64,
     /// Whole submissions turned away with [`AdmitError::Busy`].
     pub submissions_rejected: u64,
-    /// Lifecycle events lost to full subscriber buffers (see
-    /// [`ExecutionEngine::subscribe_events`]).
+    /// Lifecycle events a subscriber lost because it fell more than
+    /// [`EVENT_LOG_CAPACITY`](oranges_harness::obs::EVENT_LOG_CAPACITY)
+    /// events behind the shared log (see
+    /// [`ExecutionEngine::events`]).
     pub events_dropped: u64,
 }
 
@@ -695,15 +697,6 @@ impl ExecutionEngine {
     /// engine bug — the readiness signal a health probe wants.
     pub fn alive_workers(&self) -> usize {
         self.handles.iter().filter(|h| !h.is_finished()).count()
-    }
-
-    /// Subscribe to the engine's lifecycle events over a bounded
-    /// channel holding up to `capacity` events. Publishing never
-    /// blocks: if this subscriber falls behind, events are dropped for
-    /// it and counted in [`EngineStats::events_dropped`]. Dropping the
-    /// stream unsubscribes.
-    pub fn subscribe_events(&self, capacity: usize) -> EventStream {
-        self.shared.events.subscribe(capacity)
     }
 
     /// The engine's event broadcaster — the service publishes its own
@@ -1303,6 +1296,7 @@ mod tests {
     use super::*;
     use oranges::experiments::{Experiment, ExperimentError};
     use oranges::platform::Platform;
+    use oranges_harness::obs::{EventStream, EVENT_LOG_CAPACITY};
     use oranges_harness::RepetitionProtocol;
     use std::sync::atomic::AtomicUsize;
 
@@ -1494,18 +1488,17 @@ mod tests {
 
     /// Pull events off `stream` until `want` of them match `kind` (or
     /// a generous timeout expires), returning everything seen.
-    fn collect_until(stream: &EventStream, kind: EventKind, want: usize) -> Vec<CampaignEvent> {
-        let mut seen = Vec::new();
+    fn collect_until(
+        stream: &EventStream,
+        kind: EventKind,
+        want: usize,
+    ) -> Vec<Arc<CampaignEvent>> {
+        let mut seen: Vec<Arc<CampaignEvent>> = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while seen
-            .iter()
-            .filter(|e: &&CampaignEvent| e.kind == kind)
-            .count()
-            < want
-            && Instant::now() < deadline
-        {
-            if let Ok(event) = stream.recv_timeout(Duration::from_millis(50)) {
-                seen.push(event);
+        while seen.iter().filter(|e| e.kind == kind).count() < want && Instant::now() < deadline {
+            match stream.try_recv() {
+                Some(event) => seen.push(event),
+                None => std::thread::sleep(Duration::from_millis(1)),
             }
         }
         seen
@@ -1515,7 +1508,7 @@ mod tests {
     fn lifecycle_events_and_latency_histograms_cover_every_path() {
         let engine = ExecutionEngine::new(2);
         let cache = ResultCache::new();
-        let stream = engine.subscribe_events(64);
+        let stream = engine.events().subscribe(|| {});
         assert_eq!(engine.event_subscribers(), 1);
 
         let (experiment, gate, _) = GatedExperiment::new("observed");
@@ -1565,20 +1558,27 @@ mod tests {
     fn a_slow_event_subscriber_drops_events_but_never_stalls_the_engine() {
         let engine = ExecutionEngine::new(2);
         let cache = ResultCache::new();
-        // Capacity-1 subscriber that never reads: every unit's started+
-        // completed pair overflows it immediately.
-        let _slow = engine.subscribe_events(1);
+        // A subscriber that never reads: its cursor stays at the start
+        // of the shared log while the engine keeps publishing.
+        let _slow = engine.events().subscribe(|| {});
         for round in 0..8 {
             let (experiment, gate, _) = GatedExperiment::new(&format!("burst{round}"));
             release(&gate);
             let sub = engine.submit(&[unit_of(0, experiment)], &cache);
             assert!(sub.recv().expect("delivery").outcome.is_ok());
         }
+        // The 8 units published a started+completed pair each; a full
+        // log's worth more evicts exactly those 16 unread events.
+        for _ in 0..EVENT_LOG_CAPACITY {
+            engine
+                .events()
+                .publish(&CampaignEvent::new(EventKind::Heartbeat));
+        }
         let stats = engine.stats();
         assert_eq!(stats.units_computed, 8, "all units completed despite drops");
-        assert!(
-            stats.events_dropped > 0,
-            "a full subscriber buffer counts drops: {stats:?}"
+        assert_eq!(
+            stats.events_dropped, 16,
+            "the oldest unread events are dropped and counted: {stats:?}"
         );
     }
 

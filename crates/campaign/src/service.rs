@@ -300,8 +300,8 @@ pub struct ServiceSummary {
     pub deadline_expired: u64,
     /// Whole submissions turned away with a typed `busy` rejection.
     pub submissions_rejected: u64,
-    /// Lifecycle events dropped because a `subscribe` client's buffer
-    /// was full — publishing never blocks an engine worker.
+    /// Lifecycle events a `subscribe` client lost by falling behind the
+    /// shared event log — publishing never blocks an engine worker.
     pub events_dropped: u64,
     /// Reactor wakeups delivered for engine completion notifies
     /// (coalesced: a burst of unit completions between two dispatch
@@ -708,7 +708,7 @@ enum ConnState {
     Command,
     /// A `run` is streaming; reads are paused, deliveries arrive via
     /// notify wakeups.
-    Running(RunState),
+    Running(Box<RunState>),
     /// A `subscribe` stream; reads watch only for hangup, events arrive
     /// via notify wakeups, heartbeats via the reactor timer.
     Subscribing(SubState),
@@ -736,7 +736,7 @@ struct SubState {
     id: u64,
     events: EventStream,
     /// The write queue crossed the backpressure threshold: stop
-    /// draining events (let the broadcaster's bounded buffer fill and
+    /// draining events (let the broadcaster's bounded log evict and
     /// count drops) until [`Event::Writable`] reports recovery.
     paused: bool,
 }
@@ -1096,7 +1096,7 @@ impl<T: Transport> Dispatcher<'_, T> {
         let Some(conn) = self.conns.get_mut(&token.id()) else {
             return; // dropping `run` cancels the fresh subscription
         };
-        conn.state = ConnState::Running(run);
+        conn.state = ConnState::Running(Box::new(run));
         // The protocol is sequential per connection: the next request
         // must not be framed until this response stream finishes.
         self.reactor.set_read_interest(token, ReadInterest::Paused);
@@ -1216,7 +1216,7 @@ impl<T: Transport> Dispatcher<'_, T> {
             started,
             _guard,
             received: _,
-        } = run;
+        } = *run;
         let response = match first_error {
             Some((_, CampaignError::Cancelled { key })) => {
                 Response::ok(id, "cancelled").with_body(JsonValue::Object(vec![(
@@ -1355,7 +1355,7 @@ impl<T: Transport> Dispatcher<'_, T> {
             .shared
             .engine
             .events()
-            .subscribe_with_notify(SUBSCRIBE_BUFFER, notify.callback());
+            .subscribe(move || notify.notify());
         self.respond(token, &Response::ok(request.id, "subscribed"));
         if !self.reactor.is_registered(token) {
             return; // the ack write failed; the stream unregisters here
@@ -1372,9 +1372,9 @@ impl<T: Transport> Dispatcher<'_, T> {
         self.reactor.set_timer(token, SUBSCRIBE_HEARTBEAT);
     }
 
-    /// Write every queued lifecycle event to the subscriber — stopping
-    /// at the backpressure threshold, so a slow watcher fills the
-    /// broadcaster's bounded buffer (whose counted drops are the
+    /// Write every unread lifecycle event to the subscriber — stopping
+    /// at the backpressure threshold, so a slow watcher falls behind in
+    /// the broadcaster's bounded log (whose counted drops are the
     /// documented overflow policy) instead of growing an unbounded
     /// write queue here.
     fn pump_events(&mut self, token: Token) {
@@ -1393,31 +1393,18 @@ impl<T: Transport> Dispatcher<'_, T> {
                     sub.paused = true;
                     return;
                 }
-                match sub.events.try_recv() {
-                    Ok(event) => Some(
-                        Response::ok(sub.id, "event")
-                            .with_body(event.to_json())
-                            .to_line(),
-                    ),
-                    Err(TryRecvError::Empty) => return,
-                    // The broadcaster is gone (engine teardown): end the
-                    // stream cleanly.
-                    Err(TryRecvError::Disconnected) => None,
-                }
-            };
-            match line {
-                Some(line) => {
-                    self.reactor.enqueue_write(token, line.as_bytes());
-                    if !self.reactor.is_registered(token) {
-                        return; // the write failed; Closed is queued
-                    }
-                    self.reactor.set_timer(token, SUBSCRIBE_HEARTBEAT);
-                }
-                None => {
-                    self.reactor.close_after_flush(token);
+                let Some(event) = sub.events.try_recv() else {
                     return;
-                }
+                };
+                Response::ok(sub.id, "event")
+                    .with_body(event.to_json())
+                    .to_line()
+            };
+            self.reactor.enqueue_write(token, line.as_bytes());
+            if !self.reactor.is_registered(token) {
+                return; // the write failed; Closed is queued
             }
+            self.reactor.set_timer(token, SUBSCRIBE_HEARTBEAT);
         }
     }
 
@@ -1513,10 +1500,6 @@ impl Drop for TokenGuard {
         }
     }
 }
-
-/// How many events a `subscribe` connection may buffer before the
-/// broadcaster starts dropping (and counting) events for it.
-const SUBSCRIBE_BUFFER: usize = 1024;
 
 /// Idle heartbeat period on a `subscribe` stream — both a liveness
 /// signal for the watcher and how the daemon notices a vanished client
@@ -1673,7 +1656,7 @@ const COUNTERS: &[Row] = &[
     ),
     Row::counter(
         ("oranges_events_dropped_total", &[]),
-        "Lifecycle events dropped on full subscriber buffers.",
+        "Lifecycle events subscribers lost by falling behind the event log.",
         Stats("events_dropped", |s| &mut s.summary.events_dropped),
     ),
     Row::counter(

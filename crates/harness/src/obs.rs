@@ -13,22 +13,22 @@
 //!   distributions;
 //! - [`CampaignEvent`] / [`EventBroadcaster`]: structured lifecycle
 //!   events (unit started/completed/failed/cache-hit/coalesced,
-//!   connection open/close, cache persist) fanned out over bounded
-//!   channels. Publishing **never blocks**: a subscriber whose channel
-//!   is full loses that event and the loss is counted in
-//!   [`EventBroadcaster::events_dropped`].
+//!   connection open/close, cache persist) fanned out through one
+//!   shared log of the last [`EVENT_LOG_CAPACITY`] events, read by one
+//!   cursor per subscriber. Publishing **never blocks**: a subscriber
+//!   that falls that far behind loses its oldest unread events and the
+//!   loss is counted in [`EventBroadcaster::events_dropped`].
 //!
 //! The campaign engine and service build their `metrics` endpoint and
 //! `subscribe` stream out of these; nothing here knows about the wire
 //! protocol.
 
 use crate::json::{self, JsonValue};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------------
 // Text exposition writer
@@ -584,34 +584,49 @@ impl CampaignEvent {
 // Event broadcasting
 // ---------------------------------------------------------------------------
 
-struct Subscriber {
-    id: u64,
-    sender: SyncSender<CampaignEvent>,
-    notify: Option<Arc<dyn Fn() + Send + Sync>>,
+/// How many events the shared log keeps. A subscriber that falls more
+/// than this many events behind loses the oldest unread ones (counted
+/// in [`EventBroadcaster::events_dropped`]).
+pub const EVENT_LOG_CAPACITY: usize = 1024;
+
+/// One subscriber's read position in the shared log.
+struct Cursor {
+    /// Sequence number of the next event this subscriber will read.
+    next: u64,
+    notify: Box<dyn Fn() + Send + Sync>,
 }
 
 #[derive(Default)]
-struct BroadcasterInner {
-    subscribers: Mutex<Vec<Subscriber>>,
-    next_id: AtomicU64,
-    dropped: AtomicU64,
+struct Log {
+    /// The last [`EVENT_LOG_CAPACITY`] events, oldest first.
+    events: VecDeque<Arc<CampaignEvent>>,
+    /// Sequence number of `events[0]`.
+    first: u64,
+    subscribers: HashMap<u64, Cursor>,
+    next_id: u64,
+    dropped: u64,
 }
 
-/// Bounded fan-out of [`CampaignEvent`]s.
+fn lock(log: &Mutex<Log>) -> MutexGuard<'_, Log> {
+    log.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Bounded fan-out of [`CampaignEvent`]s through one shared log.
 ///
-/// Each subscriber gets its own bounded channel;
-/// [`publish`](EventBroadcaster::publish) delivers a clone to each
-/// with a non-blocking `try_send`. A subscriber that cannot keep up
-/// loses that event (counted in
+/// [`publish`](EventBroadcaster::publish) appends one shared copy of
+/// the event to a log of the last [`EVENT_LOG_CAPACITY`] events, and
+/// each subscriber reads it through its own cursor. Publishing never
+/// blocks: when the log is full the oldest event is evicted, and every
+/// subscriber that had not read it yet loses it (counted in
 /// [`events_dropped`](EventBroadcaster::events_dropped)) — a slow
-/// dashboard can never
-/// stall an engine worker. A dropped [`EventStream`] unregisters
-/// itself, so abandoned subscriptions cost nothing.
+/// dashboard can never stall an engine worker. A dropped
+/// [`EventStream`] unregisters itself; with no subscribers left the
+/// log is cleared and publishing stores nothing.
 ///
-/// Cloning the broadcaster is cheap and shares the subscriber set.
+/// Cloning the broadcaster is cheap and shares the log.
 #[derive(Clone, Default)]
 pub struct EventBroadcaster {
-    inner: Arc<BroadcasterInner>,
+    log: Arc<Mutex<Log>>,
 }
 
 impl EventBroadcaster {
@@ -620,82 +635,61 @@ impl EventBroadcaster {
         EventBroadcaster::default()
     }
 
-    /// Register a subscriber whose channel buffers up to `capacity`
-    /// events. Events published while the buffer is full are dropped
-    /// for this subscriber (and counted), not queued.
-    pub fn subscribe(&self, capacity: usize) -> EventStream {
-        self.register(capacity, None)
-    }
-
-    /// Like [`subscribe`](EventBroadcaster::subscribe), but invoking
-    /// `notify` after each successfully buffered event — the hook a
-    /// readiness-driven consumer (the service reactor) installs so it
-    /// is woken instead of polling
-    /// [`try_recv`](EventStream::try_recv). Dropped (buffer-full)
-    /// events do not notify: there is nothing new to read.
-    pub fn subscribe_with_notify(
-        &self,
-        capacity: usize,
-        notify: Arc<dyn Fn() + Send + Sync>,
-    ) -> EventStream {
-        self.register(capacity, Some(notify))
-    }
-
-    fn register(
-        &self,
-        capacity: usize,
-        notify: Option<Arc<dyn Fn() + Send + Sync>>,
-    ) -> EventStream {
-        let (sender, receiver) = std::sync::mpsc::sync_channel(capacity.max(1));
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .subscribers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .push(Subscriber { id, sender, notify });
+    /// Register a subscriber that reads events published from now on.
+    /// `notify` runs after every publish — the hook a readiness-driven
+    /// consumer (the service reactor) installs so it is woken instead
+    /// of polling [`try_recv`](EventStream::try_recv).
+    pub fn subscribe(&self, notify: impl Fn() + Send + Sync + 'static) -> EventStream {
+        let mut guard = lock(&self.log);
+        let log = &mut *guard;
+        let id = log.next_id;
+        log.next_id += 1;
+        let cursor = Cursor {
+            next: log.first + log.events.len() as u64,
+            notify: Box::new(notify),
+        };
+        log.subscribers.insert(id, cursor);
         EventStream {
             id,
-            receiver,
-            registry: Arc::clone(&self.inner),
+            log: Arc::clone(&self.log),
         }
     }
 
-    /// Deliver `event` to every live subscriber without blocking.
-    /// Full channels drop the event (counted); disconnected receivers
-    /// are pruned.
+    /// Append `event` to the log without blocking, evicting (and
+    /// counting as dropped for whoever had not read it) the oldest
+    /// event when the log is full. With no subscribers this is a no-op.
     pub fn publish(&self, event: &CampaignEvent) {
-        let mut subscribers = self
-            .inner
-            .subscribers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        subscribers.retain(|sub| match sub.sender.try_send(event.clone()) {
-            Ok(()) => {
-                if let Some(notify) = &sub.notify {
-                    notify();
+        let mut guard = lock(&self.log);
+        let log = &mut *guard;
+        if log.subscribers.is_empty() {
+            return;
+        }
+        if log.events.len() == EVENT_LOG_CAPACITY {
+            log.events.pop_front();
+            let evicted = log.first;
+            log.first += 1;
+            for cursor in log.subscribers.values_mut() {
+                if cursor.next == evicted {
+                    cursor.next += 1;
+                    log.dropped += 1;
                 }
-                true
             }
-            Err(TrySendError::Full(_)) => {
-                self.inner.dropped.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(TrySendError::Disconnected(_)) => false,
-        });
+        }
+        log.events.push_back(Arc::new(event.clone()));
+        for cursor in log.subscribers.values() {
+            (cursor.notify)();
+        }
     }
 
     /// Current number of registered subscribers.
     pub fn subscriber_count(&self) -> usize {
-        self.inner
-            .subscribers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .len()
+        lock(&self.log).subscribers.len()
     }
 
-    /// Lifetime count of events lost to full subscriber buffers.
+    /// Lifetime count of events evicted from the log before a
+    /// subscriber read them.
     pub fn events_dropped(&self) -> u64 {
-        self.inner.dropped.load(Ordering::Relaxed)
+        lock(&self.log).dropped
     }
 }
 
@@ -708,44 +702,33 @@ impl std::fmt::Debug for EventBroadcaster {
     }
 }
 
-/// Receiving end of one subscription. Dropping it unregisters the
-/// subscriber from the broadcaster.
+/// One subscriber's cursor into the broadcaster's log. Dropping it
+/// unregisters the subscriber.
 pub struct EventStream {
     id: u64,
-    receiver: Receiver<CampaignEvent>,
-    registry: Arc<BroadcasterInner>,
+    log: Arc<Mutex<Log>>,
 }
 
 impl EventStream {
-    /// Wait up to `timeout` for the next event. `Err(Timeout)` means
-    /// no event arrived; `Err(Disconnected)` cannot happen while the
-    /// broadcaster is alive (senders are pruned only on our drop).
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<CampaignEvent, RecvTimeoutError> {
-        self.receiver.recv_timeout(timeout)
-    }
-
-    /// Take the next buffered event without waiting.
-    pub fn try_recv(&self) -> Result<CampaignEvent, TryRecvError> {
-        self.receiver.try_recv()
-    }
-
-    /// Drain every currently buffered event.
-    pub fn drain(&self) -> Vec<CampaignEvent> {
-        let mut events = Vec::new();
-        while let Ok(event) = self.receiver.try_recv() {
-            events.push(event);
-        }
-        events
+    /// Take the next unread event without waiting, or `None` when this
+    /// subscriber has read everything published so far.
+    pub fn try_recv(&self) -> Option<Arc<CampaignEvent>> {
+        let mut guard = lock(&self.log);
+        let log = &mut *guard;
+        let cursor = log.subscribers.get_mut(&self.id)?;
+        let event = log.events.get((cursor.next - log.first) as usize)?;
+        cursor.next += 1;
+        Some(Arc::clone(event))
     }
 }
 
 impl Drop for EventStream {
     fn drop(&mut self) {
-        self.registry
-            .subscribers
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .retain(|sub| sub.id != self.id);
+        let mut log = lock(&self.log);
+        log.subscribers.remove(&self.id);
+        if log.subscribers.is_empty() {
+            log.events.clear();
+        }
     }
 }
 
@@ -758,7 +741,7 @@ impl std::fmt::Debug for EventStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn exposition_emits_headers_once_per_family() {
@@ -873,15 +856,20 @@ mod tests {
         assert_eq!(EventKind::parse("no_such_kind"), None);
     }
 
+    /// Every event `stream` has not read yet.
+    fn unread(stream: &EventStream) -> usize {
+        std::iter::from_fn(|| stream.try_recv()).count()
+    }
+
     #[test]
     fn broadcast_reaches_every_subscriber() {
         let bus = EventBroadcaster::new();
-        let a = bus.subscribe(8);
-        let b = bus.subscribe(8);
+        let a = bus.subscribe(|| {});
+        let b = bus.subscribe(|| {});
         assert_eq!(bus.subscriber_count(), 2);
         bus.publish(&CampaignEvent::new(EventKind::CachePersisted));
-        assert_eq!(a.drain().len(), 1);
-        assert_eq!(b.drain().len(), 1);
+        assert_eq!(unread(&a), 1);
+        assert_eq!(unread(&b), 1);
         drop(a);
         assert_eq!(bus.subscriber_count(), 1);
         drop(b);
@@ -894,19 +882,47 @@ mod tests {
     #[test]
     fn slow_subscriber_drops_events_and_never_blocks_the_publisher() {
         let bus = EventBroadcaster::new();
-        let slow = bus.subscribe(1); // capacity 1, never read
+        let slow = bus.subscribe(|| {}); // never read
         let started = Instant::now();
-        for _ in 0..100 {
+        for _ in 0..EVENT_LOG_CAPACITY + 99 {
             bus.publish(&CampaignEvent::new(EventKind::Heartbeat));
         }
-        // Non-blocking by construction: 100 publishes into a full
-        // buffer complete immediately, dropping all but the first.
+        // Non-blocking by construction: publishing past a full log
+        // completes immediately, evicting the 99 oldest unread events.
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(bus.events_dropped(), 99);
-        assert_eq!(slow.drain().len(), 1);
-        // A fresh subscriber still receives events after the drops.
-        let fresh = bus.subscribe(8);
-        bus.publish(&CampaignEvent::new(EventKind::Heartbeat));
-        assert_eq!(fresh.drain().len(), 1);
+        // A subscriber joining late sees only events published after it.
+        let late = bus.subscribe(|| {});
+        assert_eq!(unread(&late), 0);
+        assert_eq!(unread(&slow), EVENT_LOG_CAPACITY);
+        bus.publish(&CampaignEvent::new(EventKind::CachePersisted));
+        let next = late.try_recv().expect("the later event");
+        assert_eq!(next.kind, EventKind::CachePersisted);
+        assert_eq!(unread(&slow), 1);
+        assert_eq!(bus.events_dropped(), 99);
+    }
+
+    #[test]
+    fn notify_runs_on_every_publish_and_a_reader_keeps_its_place() {
+        let bus = EventBroadcaster::new();
+        let wakeups = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&wakeups);
+        let stream = bus.subscribe(move || {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+        for kind in [EventKind::UnitStarted, EventKind::UnitCompleted] {
+            bus.publish(&CampaignEvent::new(kind));
+        }
+        assert_eq!(wakeups.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            stream.try_recv().map(|e| e.kind),
+            Some(EventKind::UnitStarted)
+        );
+        bus.publish(&CampaignEvent::new(EventKind::CacheHit));
+        let rest: Vec<EventKind> = std::iter::from_fn(|| stream.try_recv())
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(rest, vec![EventKind::UnitCompleted, EventKind::CacheHit]);
+        assert_eq!(bus.events_dropped(), 0);
     }
 }

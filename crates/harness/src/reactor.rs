@@ -362,6 +362,12 @@ const SCAN_READ_BUDGET: usize = 64 * 1024;
 /// until [`Event::Writable`] reports the drain.
 pub const WRITE_BACKLOG_THRESHOLD: usize = 256 * 1024;
 
+/// The longest unterminated request line a [`ReadInterest::Framed`]
+/// connection may buffer. A peer that sends more without a newline is
+/// closed with [`Event::Closed`], so one connection cannot grow the
+/// daemon's memory without limit.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
 struct Registration<S> {
     stream: S,
     frame: FrameBuffer,
@@ -878,6 +884,12 @@ impl<S: Stream> Reactor<S> {
                         Err(error) => failure = Some(error),
                     }
                 }
+                if failure.is_none() && registration.frame.buffered() > MAX_REQUEST_LINE {
+                    failure = Some(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        "request line exceeds 1 MiB",
+                    ));
+                }
             }
 
             // Reschedule by idleness class.
@@ -1156,6 +1168,57 @@ mod tests {
             }
         }
         assert!(saw_line, "the unterminated tail was still delivered");
+    }
+
+    #[test]
+    fn request_lines_are_bounded_at_max_request_line() {
+        // Writers run on their own threads: the reactor must read while
+        // megabytes are in flight.
+        fn send(mut client: TcpStream, bytes: Vec<u8>) -> std::thread::JoinHandle<()> {
+            std::thread::spawn(move || {
+                for piece in bytes.chunks(100_000) {
+                    // Fails once the reactor closes its end.
+                    if client.write_all(piece).is_err() {
+                        return;
+                    }
+                }
+            })
+        }
+        let next = |reactor: &mut Reactor<TcpStream>| {
+            reactor
+                .poll_timeout(Duration::from_secs(30))
+                .expect("an event")
+        };
+
+        // A line just under the bound, sent in pieces, still frames.
+        let (mut reactor, token, client) = pair();
+        let mut line = vec![b'x'; MAX_REQUEST_LINE - 1];
+        line.push(b'\n');
+        let writer = send(client.try_clone().expect("clone"), line);
+        match next(&mut reactor) {
+            Event::Line(t, line) => {
+                assert_eq!(t, token);
+                assert_eq!(line.len(), MAX_REQUEST_LINE - 1);
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+        writer.join().expect("writer thread");
+
+        // 2 MiB with no newline closes the connection.
+        let (mut reactor, token, client) = pair();
+        let writer = send(
+            client.try_clone().expect("clone"),
+            vec![b'x'; 2 * MAX_REQUEST_LINE],
+        );
+        match next(&mut reactor) {
+            Event::Closed(t, reason) => {
+                assert_eq!(t, token);
+                assert_eq!(reason.as_deref(), Some("request line exceeds 1 MiB"));
+            }
+            other => panic!("unexpected event {other:?}"),
+        }
+        assert!(reactor.is_empty());
+        writer.join().expect("writer thread");
     }
 
     #[test]

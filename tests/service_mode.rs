@@ -274,6 +274,38 @@ fn a_nesting_bomb_is_an_in_band_error_and_the_daemon_keeps_serving_over<T: TestT
     daemon.join().expect("daemon");
 }
 
+fn an_oversize_request_line_closes_only_its_connection_over<T: TestTransport>() {
+    use oranges_harness::reactor::MAX_REQUEST_LINE;
+    use oranges_harness::transport::Stream as _;
+    use std::io::{Read, Write};
+
+    let (endpoint, daemon) = start_daemon::<T>("oversize-line", |c| c);
+    // A peer that streams twice the line bound with no newline: the
+    // daemon must close it rather than buffer it forever.
+    let mut hog = T::connect(&endpoint).expect("connect");
+    let mut reader = hog.try_clone().expect("clone the stream");
+    let writer = std::thread::spawn(move || {
+        for _ in 0..2 * MAX_REQUEST_LINE / 65_536 {
+            // Fails once the daemon closes the connection.
+            if hog.write_all(&[b'x'; 65_536]).is_err() {
+                return;
+            }
+        }
+    });
+    // The daemon answers nothing and ends the connection: EOF or a
+    // reset, never a response line.
+    let mut answer = Vec::new();
+    let _ = reader.read_to_end(&mut answer);
+    assert!(answer.is_empty(), "no response to an unterminated line");
+    writer.join().expect("writer thread");
+
+    // The daemon survived: a new connection is still answered.
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect again");
+    client.ping().expect("still serving");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+}
+
 fn shutdown_drains_even_with_an_idle_connection_open_over<T: TestTransport>() {
     // Regression: a client that connects and then goes quiet must not
     // block shutdown — its handler thread is parked in a blocking read,
@@ -901,7 +933,7 @@ fn soak_drain_pass<S: oranges_harness::transport::Stream>(subs: &mut [SoakSub<S>
 /// as reactor table entries — not parked threads — while 8 active
 /// clients run overlapping campaigns through it. Exactly-once unit
 /// accounting holds across all 8 runs, no subscriber event is dropped
-/// (the load stays below the documented per-subscriber buffer bound),
+/// (the load stays below the documented shared event-log bound),
 /// and the shutdown drain delivers a clean EOF to every stream.
 fn a_thousand_idle_subscribers_ride_along_eight_active_clients_over<T: TestTransport>() {
     use oranges_harness::transport::Stream as _;
@@ -1087,6 +1119,11 @@ macro_rules! transport_matrix {
             fn a_nesting_bomb_is_an_in_band_error_and_the_daemon_keeps_serving() {
                 a_nesting_bomb_is_an_in_band_error_and_the_daemon_keeps_serving_over::<$transport>(
                 );
+            }
+
+            #[test]
+            fn an_oversize_request_line_closes_only_its_connection() {
+                an_oversize_request_line_closes_only_its_connection_over::<$transport>();
             }
 
             #[test]

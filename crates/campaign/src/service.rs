@@ -613,7 +613,10 @@ impl<T: Transport> CampaignService<T> {
     /// even if the accept thread has to give up, so computed results
     /// are never lost to a socket-level failure.
     pub fn serve(self) -> Result<ServiceSummary, ServiceError> {
-        let mut reactor: Reactor<T::Stream> = Reactor::new();
+        let mut reactor: Reactor<T::Stream> = Reactor::new().map_err(|e| {
+            self.listener.cleanup();
+            io_err("creating the reactor wakeup socket", e)
+        })?;
         let wake = reactor.wake_handle();
         let listener = &self.listener;
         let shared = &self.shared;

@@ -29,8 +29,8 @@
 //!   addressing, the [`transport::Transport`] trait, Unix-domain and
 //!   TCP implementations) — what carries those envelopes between
 //!   hosts;
-//! - [`reactor`]: a minimal readiness event loop over nonblocking
-//!   [`transport::Stream`]s — registration table, wakeup channel,
+//! - [`reactor`]: a minimal `poll(2)` event loop over nonblocking
+//!   [`transport::Stream`]s — registration table, wakeup socket,
 //!   level-triggered line framing, write queues, and timers — the I/O
 //!   plane the campaign service multiplexes its connections on;
 //! - [`env`](mod@env): the §4 environment record.

@@ -6,9 +6,7 @@
 //! every connection is a **table entry** on one reactor thread, and the
 //! service's thread census is O(1) in the number of connections.
 //!
-//! The design is `poll(2)`-shaped but built entirely from safe std
-//! primitives (the workspace forbids `unsafe`, so no raw descriptor
-//! sets):
+//! Each turn is one `poll(2)` wait ([`oranges_poll::wait`]):
 //!
 //! - **Registration table** — the reactor *owns* each registered
 //!   [`Stream`], switched to nonblocking mode. Each entry carries a
@@ -16,24 +14,25 @@
 //!   segmentation), a [`WriteQueue`] (short-write- and
 //!   `WouldBlock`-tolerant output), a read-interest mode, and an
 //!   optional timer.
-//! - **Wakeup channel** — the `poll(2)` self-pipe, as an in-process
-//!   channel: the accept thread posts new connections, engine
+//! - **Wakeup socket** — other threads post payloads on a channel and
+//!   then write one byte to a socket pair whose read end is in every
+//!   poll set: the accept thread posts new connections, engine
 //!   completions post coalesced [`NotifyHandle`] wakes, and shutdown
-//!   posts a drain signal. When the table is idle the reactor blocks
-//!   on this channel and burns nothing.
+//!   posts a drain signal.
 //! - **Level-triggered dispatch** — [`Reactor::poll`] returns one
 //!   [`Event`] at a time; readiness that has not been consumed
 //!   (buffered complete lines, queued notifies) is re-reported until
 //!   the owner acts on it.
 //!
-//! Readiness for *peer input* is discovered by nonblocking read scans
-//! at an adaptive cadence: connections that spoke recently (or have
-//! queued output) are scanned every millisecond-scale tick, idle ones
-//! every few tens of milliseconds, and long-idle ones (the thousand
-//! parked `subscribe` streams of a soak) a few times per second. That
-//! bounds both the wake latency a chatty client sees and the scan work
-//! a mostly-idle table costs. Engine completions never wait on a scan
-//! at all — they arrive through the wakeup channel.
+//! The poll set is the wakeup socket plus each connection that wants
+//! something: READABLE while its peer has not hung up and its interest
+//! is not [`ReadInterest::Paused`], WRITABLE while its write queue is
+//! non-empty. A connection that wants neither stays out of the set,
+//! because `poll` reports hangups and errors without being asked, and a
+//! paused, drained connection whose peer reset would otherwise wake
+//! every turn. The wait lasts until the earliest timer or the caller's
+//! cap, and only connections `poll` reported ready are serviced, so an
+//! idle table costs nothing.
 //!
 //! What belongs to the reactor vs. its owner:
 //!
@@ -44,11 +43,14 @@
 //!   connections when the protocol says so.
 
 use crate::transport::Stream;
+use oranges_poll::{PollFd, POLLIN, POLLOUT};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -128,15 +130,29 @@ enum Wake<S> {
 
 /// A clonable handle for posting wakes into the reactor from other
 /// threads — the accept loop's and shutdown path's end of the wakeup
-/// channel.
+/// socket.
 pub struct WakeHandle<S> {
     tx: Sender<Wake<S>>,
+    signal: Arc<UnixStream>,
 }
 
 impl<S> Clone for WakeHandle<S> {
     fn clone(&self) -> Self {
         WakeHandle {
             tx: self.tx.clone(),
+            signal: Arc::clone(&self.signal),
+        }
+    }
+}
+
+impl<S> WakeHandle<S> {
+    /// Send the payload, then wake the reactor's wait. The byte goes
+    /// after the payload, so a reactor that empties the socket and then
+    /// drains the channel never misses a payload. `WouldBlock` means
+    /// unread bytes are already waiting, which is wake enough.
+    fn post(&self, wake: Wake<S>) {
+        if self.tx.send(wake).is_ok() {
+            (&*self.signal).write_all(&[1]).ok();
         }
     }
 }
@@ -146,12 +162,12 @@ impl<S: Stream> WakeHandle<S> {
     /// takes ownership, switches it to nonblocking mode, and reports
     /// it as [`Event::Accepted`].
     pub fn accepted(&self, stream: S) {
-        self.tx.send(Wake::NewConn(stream)).ok();
+        self.post(Wake::NewConn(stream));
     }
 
     /// Post the shutdown wake ([`Event::Shutdown`]).
     pub fn shutdown(&self) {
-        self.tx.send(Wake::Shutdown).ok();
+        self.post(Wake::Shutdown);
     }
 }
 
@@ -163,7 +179,7 @@ impl<S: Stream> WakeHandle<S> {
 /// further calls before the reactor re-arms the flag are free. This is
 /// what the service installs as the engine's unit-completion hook — a
 /// worker thread finishing a unit costs one atomic swap and at most
-/// one channel send, never a syscall against the connection.
+/// one wakeup post, never a syscall against the connection.
 pub struct NotifyHandle {
     pending: Arc<AtomicBool>,
     send: Arc<dyn Fn() + Send + Sync>,
@@ -277,8 +293,8 @@ impl FrameBuffer {
 ///
 /// `flush_into` writes as much as the peer will take and keeps the
 /// rest: short writes and `WouldBlock` are normal outcomes, not
-/// errors. The reactor retries on its scan ticks until the queue
-/// drains.
+/// errors. The reactor retries whenever `poll` reports the connection
+/// writable, until the queue drains.
 #[derive(Debug, Default)]
 pub struct WriteQueue {
     buffer: Vec<u8>,
@@ -344,18 +360,9 @@ impl WriteQueue {
 // The reactor
 // ---------------------------------------------------------------------
 
-/// How long after its last input a connection counts as *hot* and is
-/// scanned every tick.
-const HOT_WINDOW: Duration = Duration::from_millis(100);
-/// A connection idle longer than this is *deep-idle* and scanned at
-/// [`DEEP_IDLE_SCAN`] cadence.
-const DEEP_IDLE_WINDOW: Duration = Duration::from_secs(10);
-/// Scan cadences per idleness class.
-const HOT_SCAN: Duration = Duration::from_millis(1);
-const IDLE_SCAN: Duration = Duration::from_millis(25);
-const DEEP_IDLE_SCAN: Duration = Duration::from_millis(250);
-/// Per-scan read budget, so one firehose peer cannot starve the table.
-const SCAN_READ_BUDGET: usize = 64 * 1024;
+/// Per-turn read budget per connection, so one firehose peer cannot
+/// starve the table.
+const READ_BUDGET: usize = 64 * 1024;
 
 /// A write queue deeper than this counts as *backlogged*: the owner
 /// should stop feeding it discretionary output (subscriber events)
@@ -373,8 +380,6 @@ struct Registration<S> {
     frame: FrameBuffer,
     writes: WriteQueue,
     interest: ReadInterest,
-    last_input: Instant,
-    next_scan: Option<Instant>,
     notify_pending: Arc<AtomicBool>,
     timer_generation: u64,
     close_after_flush: bool,
@@ -383,12 +388,13 @@ struct Registration<S> {
 }
 
 /// The event loop: a registration table of owned nonblocking streams,
-/// a wakeup channel, timers, and a level-triggered [`poll`].
+/// a wakeup socket, timers, and a level-triggered [`poll`].
 ///
 /// [`poll`]: Reactor::poll
 pub struct Reactor<S: Stream> {
     rx: Receiver<Wake<S>>,
-    tx: Sender<Wake<S>>,
+    signal: UnixStream,
+    wake: WakeHandle<S>,
     table: HashMap<u64, Registration<S>>,
     next_token: u64,
     timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
@@ -398,19 +404,21 @@ pub struct Reactor<S: Stream> {
     timer_wakeups: u64,
 }
 
-impl<S: Stream> Default for Reactor<S> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<S: Stream> Reactor<S> {
-    /// A reactor with an empty table.
-    pub fn new() -> Self {
+    /// A reactor with an empty table. Fails if the wakeup socket pair
+    /// cannot be created (`EMFILE`, say).
+    pub fn new() -> io::Result<Self> {
         let (tx, rx) = channel();
-        Reactor {
+        let (signal, signal_tx) = UnixStream::pair()?;
+        signal.set_nonblocking(true)?;
+        signal_tx.set_nonblocking(true)?;
+        Ok(Reactor {
             rx,
-            tx,
+            signal,
+            wake: WakeHandle {
+                tx,
+                signal: Arc::new(signal_tx),
+            },
             table: HashMap::new(),
             next_token: 0,
             timers: BinaryHeap::new(),
@@ -418,14 +426,12 @@ impl<S: Stream> Reactor<S> {
             pending: VecDeque::new(),
             notify_wakeups: 0,
             timer_wakeups: 0,
-        }
+        })
     }
 
     /// A handle other threads use to post wakes.
     pub fn wake_handle(&self) -> WakeHandle<S> {
-        WakeHandle {
-            tx: self.tx.clone(),
-        }
+        self.wake.clone()
     }
 
     /// A coalescing notify hook bound to `token`. Firing it from any
@@ -434,12 +440,10 @@ impl<S: Stream> Reactor<S> {
     pub fn notify_handle(&self, token: Token) -> Option<NotifyHandle> {
         let registration = self.table.get(&token.0)?;
         let pending = Arc::clone(&registration.notify_pending);
-        let tx = self.tx.clone();
+        let wake = self.wake.clone();
         Some(NotifyHandle {
             pending,
-            send: Arc::new(move || {
-                tx.send(Wake::Notify(token)).ok();
-            }),
+            send: Arc::new(move || wake.post(Wake::Notify(token))),
         })
     }
 
@@ -450,7 +454,6 @@ impl<S: Stream> Reactor<S> {
         stream.set_nonblocking(true)?;
         let token = Token(self.next_token);
         self.next_token += 1;
-        let now = Instant::now();
         self.table.insert(
             token.0,
             Registration {
@@ -458,8 +461,6 @@ impl<S: Stream> Reactor<S> {
                 frame: FrameBuffer::new(),
                 writes: WriteQueue::new(),
                 interest: ReadInterest::Framed,
-                last_input: now,
-                next_scan: Some(now),
                 notify_pending: Arc::new(AtomicBool::new(false)),
                 timer_generation: 0,
                 close_after_flush: false,
@@ -520,47 +521,23 @@ impl<S: Stream> Reactor<S> {
     /// [`ReadInterest::Framed`] — level triggering across pauses.
     pub fn set_read_interest(&mut self, token: Token, interest: ReadInterest) {
         let mut lines = Vec::new();
-        let mut framing_error = None;
-        {
+        let framed = {
             let Some(registration) = self.table.get_mut(&token.0) else {
                 return;
             };
             registration.interest = interest;
-            let now = Instant::now();
-            match interest {
-                ReadInterest::Framed => {
-                    // Re-framing may surface buffered lines (a
-                    // pipelined request that arrived during a run)
-                    // without any new bytes; scan promptly either way.
-                    registration.last_input = now;
-                    registration.next_scan = Some(now);
-                    loop {
-                        match registration.frame.next_line() {
-                            Ok(Some(line)) => lines.push(line),
-                            Ok(None) => break,
-                            Err(error) => {
-                                framing_error = Some(error);
-                                break;
-                            }
-                        }
-                    }
-                }
-                ReadInterest::EofOnly => {
-                    registration.next_scan = Some(now);
-                }
-                ReadInterest::Paused => {
-                    registration.next_scan = if registration.writes.is_empty() {
-                        None
-                    } else {
-                        Some(now)
-                    };
-                }
+            if interest == ReadInterest::Framed {
+                // Re-framing may surface buffered lines (a pipelined
+                // request that arrived during a run) without new bytes.
+                frame_lines(&mut registration.frame, &mut lines)
+            } else {
+                Ok(())
             }
-        }
+        };
         for line in lines {
             self.pending.push_back(Event::Line(token, line));
         }
-        if let Some(error) = framing_error {
+        if let Err(error) = framed {
             self.fail(token, error);
             return;
         }
@@ -572,7 +549,7 @@ impl<S: Stream> Reactor<S> {
     /// Queue bytes for the connection and start flushing immediately.
     pub fn enqueue_write(&mut self, token: Token, bytes: &[u8]) {
         // Opportunistic immediate flush: the common case (responsive
-        // peer, small response) completes here and never waits a tick.
+        // peer, small response) completes here and never waits a turn.
         let flushed = {
             let Some(registration) = self.table.get_mut(&token.0) else {
                 return;
@@ -581,11 +558,10 @@ impl<S: Stream> Reactor<S> {
             if registration.writes.pending() > WRITE_BACKLOG_THRESHOLD {
                 registration.backlogged = true;
             }
-            let result = registration.writes.flush_into(&mut registration.stream);
-            if result.is_ok() && !registration.writes.is_empty() {
-                registration.next_scan = Some(Instant::now());
-            }
-            result.map(|_| registration.writes.is_empty())
+            registration
+                .writes
+                .flush_into(&mut registration.stream)
+                .map(|_| registration.writes.is_empty())
         };
         match flushed {
             Ok(true) => self.writes_drained(token),
@@ -613,12 +589,7 @@ impl<S: Stream> Reactor<S> {
             };
             registration.close_after_flush = true;
             registration.interest = ReadInterest::Paused;
-            if registration.writes.is_empty() {
-                true
-            } else {
-                registration.next_scan = Some(Instant::now());
-                false
-            }
+            registration.writes.is_empty()
         };
         if flushed {
             self.close_clean(token);
@@ -698,47 +669,50 @@ impl<S: Stream> Reactor<S> {
         self.turn_until(None);
     }
 
-    /// One scheduling turn: fire due timers, scan due connections,
-    /// then block on the wakeup channel until the earliest upcoming
-    /// deadline (or forever, if the table is fully quiescent).
+    /// One scheduling turn: fire due timers, then wait in `poll(2)` on
+    /// the wakeup socket and every connection that wants something,
+    /// until the earliest timer or `cap` (forever if neither), and
+    /// service only what was reported ready.
     fn turn_until(&mut self, cap: Option<Instant>) {
         let now = Instant::now();
         self.fire_due_timers(now);
-        self.scan_due_connections(now);
         if !self.pending.is_empty() {
             return;
         }
+        let timer = self.timers.peek().map(|Reverse((at, _, _))| *at);
+        let deadline = cap.into_iter().chain(timer).min();
+        let timeout = deadline.map(|at| at.saturating_duration_since(now));
 
-        let mut deadline = cap;
-        for registration in self.table.values() {
-            if let Some(at) = registration.next_scan {
-                deadline = Some(deadline.map_or(at, |d| d.min(at)));
+        let mut ids = Vec::with_capacity(self.table.len());
+        let mut set = Vec::with_capacity(self.table.len() + 1);
+        set.push(PollFd::new(self.signal.as_raw_fd(), POLLIN));
+        for (&id, registration) in &self.table {
+            let mut events = 0;
+            if !registration.peer_eof && registration.interest != ReadInterest::Paused {
+                events |= POLLIN;
+            }
+            if !registration.writes.is_empty() {
+                events |= POLLOUT;
+            }
+            if events != 0 {
+                ids.push(id);
+                set.push(PollFd::new(registration.stream.as_raw_fd(), events));
             }
         }
-        if let Some(Reverse((at, _, _))) = self.timers.peek() {
-            deadline = Some(deadline.map_or(*at, |d| d.min(*at)));
+        // A failed wait (`ENOMEM`, say) is a wait that found nothing.
+        if oranges_poll::wait(&mut set, timeout).unwrap_or(0) == 0 {
+            return;
         }
-
-        let wake = match deadline {
-            None => self.rx.recv().ok(),
-            Some(at) => {
-                let now = Instant::now();
-                if at <= now {
-                    self.rx.try_recv().ok()
-                } else {
-                    match self.rx.recv_timeout(at - now) {
-                        Ok(wake) => Some(wake),
-                        Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                            None
-                        }
-                    }
-                }
+        for (entry, &id) in set[1..].iter().zip(&ids) {
+            if entry.revents() != 0 {
+                self.service_connection(Token(id));
             }
-        };
-        if let Some(wake) = wake {
-            self.process_wake(wake);
-            // Batch whatever else is already queued before returning
-            // to the scan loop.
+        }
+        if set[0].revents() != 0 {
+            // Empty the socket before draining the channel: a payload
+            // posted after the drain brings a byte the next wait sees.
+            let mut bytes = [0u8; 64];
+            while matches!((&self.signal).read(&mut bytes), Ok(n) if n > 0) {}
             while let Ok(wake) = self.rx.try_recv() {
                 self.process_wake(wake);
             }
@@ -784,21 +758,9 @@ impl<S: Stream> Reactor<S> {
         }
     }
 
-    fn scan_due_connections(&mut self, now: Instant) {
-        let due: Vec<u64> = self
-            .table
-            .iter()
-            .filter(|(_, r)| r.next_scan.is_some_and(|at| at <= now))
-            .map(|(&id, _)| id)
-            .collect();
-        for id in due {
-            self.scan_connection(Token(id), now);
-        }
-    }
-
-    /// One nonblocking service pass over a connection: flush queued
-    /// writes, then read per interest, then reschedule.
-    fn scan_connection(&mut self, token: Token, now: Instant) {
+    /// One nonblocking service pass over a connection `poll` reported
+    /// ready: flush queued writes, then read per interest.
+    fn service_connection(&mut self, token: Token) {
         // Writes first: a queued response should never wait on reads.
         let flush = {
             let Some(registration) = self.table.get_mut(&token.0) else {
@@ -846,12 +808,11 @@ impl<S: Stream> Reactor<S> {
                             break;
                         }
                         Ok(n) => {
-                            registration.last_input = now;
                             if registration.interest == ReadInterest::Framed {
                                 registration.frame.extend(&scratch[..n]);
                             }
                             total += n;
-                            if total >= SCAN_READ_BUDGET {
+                            if total >= READ_BUDGET {
                                 break;
                             }
                         }
@@ -867,16 +828,7 @@ impl<S: Stream> Reactor<S> {
 
             // Frame complete lines out of whatever is buffered.
             if registration.interest == ReadInterest::Framed && failure.is_none() {
-                loop {
-                    match registration.frame.next_line() {
-                        Ok(Some(line)) => lines.push(line),
-                        Ok(None) => break,
-                        Err(error) => {
-                            failure = Some(error);
-                            break;
-                        }
-                    }
-                }
+                failure = frame_lines(&mut registration.frame, &mut lines).err();
                 if registration.peer_eof && failure.is_none() {
                     match registration.frame.take_remainder() {
                         Ok(Some(tail)) => lines.push(tail),
@@ -891,23 +843,6 @@ impl<S: Stream> Reactor<S> {
                     ));
                 }
             }
-
-            // Reschedule by idleness class.
-            registration.next_scan = if registration.writes.is_empty()
-                && (registration.peer_eof || registration.interest == ReadInterest::Paused)
-            {
-                // Nothing left to read (EOF or paused), nothing to
-                // flush: quiescent until the owner acts.
-                None
-            } else if !registration.writes.is_empty()
-                || now.duration_since(registration.last_input) < HOT_WINDOW
-            {
-                Some(now + HOT_SCAN)
-            } else if now.duration_since(registration.last_input) < DEEP_IDLE_WINDOW {
-                Some(now + IDLE_SCAN)
-            } else {
-                Some(now + DEEP_IDLE_SCAN)
-            };
             registration.peer_eof
         };
 
@@ -919,7 +854,7 @@ impl<S: Stream> Reactor<S> {
             self.fail(token, error);
             return;
         }
-        // Close on EOF only when no lines were delivered this scan: a
+        // Close on EOF only when no lines were delivered this pass: a
         // peer that wrote a request and closed its write half still
         // gets its response — the close follows the response flush (or
         // an explicit [`sweep_eof`](Reactor::sweep_eof)) instead.
@@ -977,6 +912,15 @@ impl<S: Stream> Reactor<S> {
     fn drop_registration(&mut self, token: Token) -> bool {
         self.table.remove(&token.0).is_some()
     }
+}
+
+/// Pop every complete line buffered in `frame` onto `lines`. A line
+/// that is not valid UTF-8 stops the pass with the error.
+fn frame_lines(frame: &mut FrameBuffer, lines: &mut Vec<String>) -> io::Result<()> {
+    while let Some(line) = frame.next_line()? {
+        lines.push(line);
+    }
+    Ok(())
 }
 
 /// Whether an EOF-seen registration has nothing left to deliver and
@@ -1095,7 +1039,7 @@ mod tests {
             .expect("bind loopback");
         let client = TcpTransport::connect(listener.local_endpoint()).expect("connect");
         let served = listener.accept().expect("accept");
-        let mut reactor = Reactor::new();
+        let mut reactor = Reactor::new().expect("reactor");
         let token = reactor.register(served).expect("register");
         (reactor, token, client)
     }
@@ -1289,6 +1233,45 @@ mod tests {
         assert_eq!(line, "queued-while-paused");
     }
 
+    /// CPU time (`utime + stime`, fields 14–15) of the calling thread.
+    #[cfg(target_os = "linux")]
+    fn thread_cpu_time() -> Duration {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("thread stat");
+        // Fields count from 1; the command (field 2) ends at the last ')'.
+        let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+            .split(' ')
+            .collect();
+        let ticks: u64 =
+            fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+        // USER_HZ is 100 on every Linux target.
+        Duration::from_millis(ticks * 10)
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_paused_connection_whose_peer_resets_does_not_spin() {
+        let (mut reactor, token, client) = pair();
+        reactor.set_read_interest(token, ReadInterest::Paused);
+        // Closing with unread bytes makes the close a reset.
+        reactor.enqueue_write(token, b"never read\n");
+        assert_eq!(reactor.write_backlog(token), 0, "flushed to the kernel");
+        drop(client);
+
+        let before = thread_cpu_time();
+        assert!(
+            reactor.poll_timeout(Duration::from_millis(300)).is_none(),
+            "a paused connection reports nothing"
+        );
+        let spent = thread_cpu_time() - before;
+        assert!(spent < Duration::from_millis(100), "spun for {spent:?}");
+
+        reactor.set_read_interest(token, ReadInterest::Framed);
+        match reactor.poll_timeout(Duration::from_secs(10)) {
+            Some(Event::Closed(t, _)) => assert_eq!(t, token),
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+
     #[test]
     fn eof_only_interest_discards_input_but_reports_hangup() {
         let (mut reactor, token, mut client) = pair();
@@ -1318,7 +1301,7 @@ mod tests {
         let listener = TcpTransport::bind(&"tcp:127.0.0.1:0".parse::<Endpoint>().unwrap())
             .expect("bind loopback");
         let endpoint = listener.local_endpoint().clone();
-        let mut reactor: Reactor<TcpStream> = Reactor::new();
+        let mut reactor: Reactor<TcpStream> = Reactor::new().expect("reactor");
         let wake = reactor.wake_handle();
         let poster = std::thread::spawn(move || {
             let _client = TcpTransport::connect(&endpoint).expect("connect");

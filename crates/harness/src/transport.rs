@@ -22,11 +22,12 @@
 //!   [`AnyTransport`].
 //!
 //! The traits are deliberately minimal: exactly the surface the service
-//! stack uses (`Read` + `Write`, `try_clone`, `shutdown_read`, blocking
-//! `accept`), nothing speculative. Code generic over [`Transport`] is
-//! oblivious to the address family; code that must pick one at runtime
-//! (a `--listen` flag, a `--fleet` list) uses [`AnyTransport`], which
-//! dispatches on the endpoint's scheme.
+//! stack uses (`Read` + `Write`, `AsRawFd`, `try_clone`,
+//! `shutdown_read`, `set_nonblocking`, blocking `accept`), nothing
+//! speculative. Code generic over [`Transport`] is oblivious to the
+//! address family; code that must pick one at runtime (a `--listen`
+//! flag, a `--fleet` list) uses [`AnyTransport`], which dispatches on
+//! the endpoint's scheme.
 //!
 //! ## Addressing
 //!
@@ -71,31 +72,11 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-
-/// An opaque, connection-stable identity for readiness registration.
-///
-/// The reactor ([`crate::reactor`]) keys its registration table by its
-/// own generationed tokens; this is the *transport-level* identity a
-/// stream carries into that table — on unix targets it is the raw file
-/// descriptor number, which is what a `poll(2)`-style readiness set
-/// would be built from. Cloned handles of one connection share a
-/// descriptor table entry but not necessarily a number, so tokens are
-/// compared only for registration bookkeeping and diagnostics, never
-/// for connection equality across clones.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReadinessToken(pub u64);
-
-impl fmt::Display for ReadinessToken {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fd:{}", self.0)
-    }
-}
 
 /// A malformed endpoint string.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -241,8 +222,9 @@ fn scheme_mismatch(transport: &str, endpoint: &Endpoint) -> io::Error {
 /// splits every connection this way). `shutdown_read` half-closes:
 /// a peer parked in a blocking read on the other handle wakes with EOF,
 /// while writes on this connection keep working — the primitive behind
-/// the service's shutdown drain.
-pub trait Stream: Read + Write + Send + Sized + 'static {
+/// the service's shutdown drain. [`AsRawFd`] is what the reactor
+/// ([`crate::reactor`]) hands to `poll(2)`.
+pub trait Stream: Read + Write + AsRawFd + Send + Sized + 'static {
     /// A second owned handle to the same underlying connection.
     fn try_clone(&self) -> io::Result<Self>;
 
@@ -257,10 +239,6 @@ pub trait Stream: Read + Write + Send + Sized + 'static {
     /// ([`crate::reactor`]) runs in. The mode is a property of the
     /// connection, not the handle: it applies to clones too.
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
-
-    /// The transport-level readiness identity of this connection (the
-    /// raw descriptor number on unix targets). See [`ReadinessToken`].
-    fn readiness_token(&self) -> ReadinessToken;
 }
 
 /// Accepts inbound [`Stream`]s for one bound endpoint.
@@ -348,10 +326,6 @@ impl Stream for UnixStream {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         UnixStream::set_nonblocking(self, nonblocking)
-    }
-
-    fn readiness_token(&self) -> ReadinessToken {
-        ReadinessToken(self.as_raw_fd() as u64)
     }
 }
 
@@ -455,17 +429,6 @@ impl Stream for TcpStream {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         TcpStream::set_nonblocking(self, nonblocking)
-    }
-
-    fn readiness_token(&self) -> ReadinessToken {
-        #[cfg(unix)]
-        {
-            ReadinessToken(self.as_raw_fd() as u64)
-        }
-        #[cfg(not(unix))]
-        {
-            ReadinessToken(0)
-        }
     }
 }
 
@@ -636,12 +599,14 @@ impl Stream for AnyStream {
             AnyStream::Tcp(stream) => Stream::set_nonblocking(stream, nonblocking),
         }
     }
+}
 
-    fn readiness_token(&self) -> ReadinessToken {
+impl AsRawFd for AnyStream {
+    fn as_raw_fd(&self) -> RawFd {
         match self {
             #[cfg(unix)]
-            AnyStream::Unix(stream) => stream.readiness_token(),
-            AnyStream::Tcp(stream) => stream.readiness_token(),
+            AnyStream::Unix(stream) => stream.as_raw_fd(),
+            AnyStream::Tcp(stream) => stream.as_raw_fd(),
         }
     }
 }
@@ -861,9 +826,8 @@ mod tests {
     }
 
     /// The contract the reactor depends on: in nonblocking mode a read
-    /// from a silent peer returns `WouldBlock` instead of parking, data
-    /// that has arrived is still readable, and readiness tokens are
-    /// stable per connection and distinct across connections.
+    /// from a silent peer returns `WouldBlock` instead of parking, and
+    /// data that has arrived is still readable.
     fn nonblocking_readiness_contract<T: Transport>(endpoint: &Endpoint) {
         let listener = T::bind(endpoint).expect("bind");
         let dial = listener.dial_endpoint().clone();
@@ -874,9 +838,6 @@ mod tests {
         let mut buffer = [0u8; 8];
         let error = server.read(&mut buffer).expect_err("peer is silent");
         assert_eq!(error.kind(), io::ErrorKind::WouldBlock, "{error}");
-
-        assert_eq!(server.readiness_token(), server.readiness_token());
-        assert_ne!(server.readiness_token(), client.readiness_token());
 
         client.write_all(b"x").expect("send");
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);

@@ -1292,7 +1292,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use oranges::experiments::{Experiment, ExperimentError};
     use oranges::platform::Platform;
@@ -1352,15 +1352,16 @@ mod tests {
         }
     }
 
-    /// A test experiment that panics mid-run.
-    struct PanickingExperiment;
+    /// A test experiment that panics mid-run; the tag keeps instances'
+    /// unit keys distinct.
+    pub(crate) struct PanickingExperiment(pub(crate) &'static str);
 
     impl Experiment for PanickingExperiment {
         fn id(&self) -> &'static str {
             "panicker"
         }
         fn params(&self) -> String {
-            "tag=panic".to_string()
+            format!("tag={}", self.0)
         }
         fn chip(&self) -> Option<ChipGeneration> {
             None
@@ -1373,7 +1374,7 @@ mod tests {
         }
     }
 
-    fn unit_of(index: usize, experiment: Arc<dyn Experiment>) -> PlanUnit {
+    pub(crate) fn unit_of(index: usize, experiment: Arc<dyn Experiment>) -> PlanUnit {
         PlanUnit {
             index,
             key: UnitKey::of(experiment.as_ref()),
@@ -1466,7 +1467,7 @@ mod tests {
         let engine = ExecutionEngine::new(1);
         let cache = ResultCache::new();
 
-        let doomed = engine.submit(&[unit_of(0, Arc::new(PanickingExperiment))], &cache);
+        let doomed = engine.submit(&[unit_of(0, Arc::new(PanickingExperiment("0")))], &cache);
         let delivery = doomed.recv().expect("failure is delivered");
         match delivery.outcome {
             Err(CampaignError::UnitPanicked { key, message }) => {
@@ -1544,7 +1545,7 @@ mod tests {
         assert_eq!(latency[0].1.count, 1);
 
         // Failures are events too.
-        let doomed = engine.submit(&[unit_of(0, Arc::new(PanickingExperiment))], &cache);
+        let doomed = engine.submit(&[unit_of(0, Arc::new(PanickingExperiment("0")))], &cache);
         assert!(doomed.recv().expect("failure delivered").outcome.is_err());
         let failures = collect_until(&stream, EventKind::UnitFailed, 1);
         let failed = failures

@@ -23,6 +23,7 @@ use crate::report::{CampaignReport, UnitReport};
 use crate::spec::{CampaignSpec, SpecParseError};
 use oranges::experiments::ExperimentError;
 use std::fmt;
+use std::sync::mpsc::TryRecvError;
 use std::time::Instant;
 
 /// Campaign failure.
@@ -102,80 +103,125 @@ pub(crate) fn expand_plan(spec: &CampaignSpec) -> Result<Plan, CampaignError> {
     }
 }
 
-/// Drain a whole-plan subscription into plan-ordered unit reports,
-/// invoking `on_unit` for every successful unit *as it is delivered*
-/// (completion order — this is how the service streams responses).
-/// Every unit is awaited (units are independent, so siblings of a
-/// failing unit finish and land in the cache for the next run); the
-/// inner error reported is the earliest failing unit's, matching serial
-/// semantics. The outer `Result` carries the observer's own failures
-/// (e.g. a dead client socket), which abort the drain immediately.
-pub(crate) fn assemble_streamed<E>(
-    plan: &Plan,
-    subscription: &Subscription,
-    mut on_unit: impl FnMut(&UnitReport) -> Result<(), E>,
-) -> Result<Result<Vec<UnitReport>, CampaignError>, E> {
-    let mut slots: Vec<Option<UnitReport>> = (0..plan.len()).map(|_| None).collect();
-    let mut first_error: Option<(usize, CampaignError)> = None;
-    for _ in 0..subscription.expected() {
-        let delivery = match subscription.recv() {
-            Some(delivery) => delivery,
-            None => {
-                return Ok(Err(CampaignError::Worker(
-                    "engine shut down mid-campaign".to_string(),
-                )))
+/// What one [`Assembly::next`] step saw.
+pub(crate) enum Next<'a> {
+    /// A unit succeeded; its report is already in its plan slot.
+    Unit(&'a UnitReport),
+    /// A unit failed, or the engine shut down; the error is recorded.
+    Failed,
+    /// Nothing is queued yet (non-blocking steps only).
+    Pending,
+    /// Every delivery is in: call [`Assembly::finish`].
+    Complete,
+}
+
+/// One run's deliveries, assembled back into plan order: the one home of
+/// the result rule. Every unit is awaited (siblings of a failing unit
+/// still land in the cache), the earliest plan index's error wins, and a
+/// shut-down engine or a never-reported unit is a worker error. The
+/// blocking adapters [`wait`](Assembly::wait) on it; the service's
+/// reactor steps it with `next(false)` on each delivery wakeup.
+pub(crate) struct Assembly {
+    plan: Plan,
+    subscription: Subscription,
+    slots: Vec<Option<UnitReport>>,
+    first_error: Option<(usize, CampaignError)>,
+    received: usize,
+    started: Instant,
+}
+
+impl Assembly {
+    pub(crate) fn new(plan: Plan, subscription: Subscription, started: Instant) -> Self {
+        Assembly {
+            slots: (0..plan.len()).map(|_| None).collect(),
+            plan,
+            subscription,
+            first_error: None,
+            received: 0,
+            started,
+        }
+    }
+
+    /// Take the next delivery; `block` waits for one, otherwise an
+    /// empty channel is [`Next::Pending`].
+    pub(crate) fn next(&mut self, block: bool) -> Next<'_> {
+        let expected = self.subscription.expected();
+        if self.received == expected {
+            return Next::Complete;
+        }
+        let delivery = if block {
+            self.subscription.recv().ok_or(TryRecvError::Disconnected)
+        } else {
+            self.subscription.try_recv()
+        };
+        let delivery = match delivery {
+            Ok(delivery) => delivery,
+            Err(TryRecvError::Empty) => return Next::Pending,
+            Err(TryRecvError::Disconnected) => {
+                // Deliveries are missing and no sender is left: the
+                // engine shut down underneath us, and nothing more comes.
+                self.received = expected;
+                self.first_error = Some((
+                    0,
+                    CampaignError::Worker("engine shut down mid-campaign".to_string()),
+                ));
+                return Next::Failed;
             }
         };
+        self.received += 1;
         match delivery.outcome {
             Ok(outcome) => {
-                let unit = &plan.units[delivery.index];
-                let report = UnitReport {
+                let unit = &self.plan.units[delivery.index];
+                Next::Unit(self.slots[delivery.index].insert(UnitReport {
                     index: unit.index,
                     key: unit.key.clone(),
                     source: outcome.source,
-
                     wall: outcome.wall,
                     output: outcome.output,
-                };
-                on_unit(&report)?;
-                slots[delivery.index] = Some(report);
+                }))
             }
             Err(error) => {
-                if first_error
-                    .as_ref()
-                    .map(|(index, _)| delivery.index < *index)
-                    .unwrap_or(true)
-                {
-                    first_error = Some((delivery.index, error));
+                let first = self.first_error.as_ref();
+                if first.is_none_or(|(index, _)| delivery.index < *index) {
+                    self.first_error = Some((delivery.index, error));
                 }
+                Next::Failed
             }
         }
     }
-    if let Some((_, error)) = first_error {
-        return Ok(Err(error));
-    }
-    let mut units = Vec::with_capacity(plan.len());
-    for (unit, slot) in plan.units.iter().zip(slots) {
-        match slot {
-            Some(report) => units.push(report),
-            None => {
-                return Ok(Err(CampaignError::Worker(format!(
-                    "unit {} never reported",
-                    unit.key
-                ))))
-            }
-        }
-    }
-    Ok(Ok(units))
-}
 
-/// [`assemble_streamed`] without an observer.
-fn assemble(plan: &Plan, subscription: &Subscription) -> Result<Vec<UnitReport>, CampaignError> {
-    match assemble_streamed(plan, subscription, |_| {
-        Ok::<(), std::convert::Infallible>(())
-    }) {
-        Ok(inner) => inner,
-        Err(never) => match never {},
+    /// Block through every delivery, then [`finish`](Self::finish).
+    fn wait(
+        mut self,
+        workers: usize,
+        cache: &ResultCache,
+    ) -> Result<CampaignReport, CampaignError> {
+        while !matches!(self.next(true), Next::Complete) {}
+        self.finish(workers, cache)
+    }
+
+    /// Apply the result rule to the assembled deliveries; `workers` is
+    /// clamped to the plan size for the report.
+    pub(crate) fn finish(
+        self,
+        workers: usize,
+        cache: &ResultCache,
+    ) -> Result<CampaignReport, CampaignError> {
+        if let Some((_, error)) = self.first_error {
+            return Err(error);
+        }
+        let mut units = Vec::with_capacity(self.plan.len());
+        for (unit, slot) in self.plan.units.iter().zip(self.slots) {
+            units.push(slot.ok_or_else(|| {
+                CampaignError::Worker(format!("unit {} never reported", unit.key))
+            })?);
+        }
+        Ok(CampaignReport::new(
+            units,
+            workers.clamp(1, self.plan.len().max(1)),
+            self.started.elapsed(),
+            cache.stats(),
+        ))
     }
 }
 
@@ -191,13 +237,7 @@ pub fn run_campaign(
     let started = Instant::now();
     let engine = ExecutionEngine::new(workers);
     let subscription = engine.submit(&plan.units, cache);
-    let units = assemble(&plan, &subscription)?;
-    Ok(CampaignReport::new(
-        units,
-        workers,
-        started.elapsed(),
-        cache.stats(),
-    ))
+    Assembly::new(plan, subscription, started).wait(workers, cache)
 }
 
 /// The serial baseline: the same plan, one worker, a private throwaway
@@ -259,21 +299,17 @@ impl WorkerPool {
         let plan = expand_plan(spec)?;
         let started = Instant::now();
         let subscription = self.engine.submit(&plan.units, cache);
-        let units = assemble(&plan, &subscription)?;
-        Ok(CampaignReport::new(
-            units,
-            self.engine.workers().clamp(1, plan.len().max(1)),
-            started.elapsed(),
-            cache.stats(),
-        ))
+        Assembly::new(plan, subscription, started).wait(self.engine.workers(), cache)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::tests::{unit_of, PanickingExperiment};
     use crate::spec::ExperimentKind;
     use oranges_soc::chip::ChipGeneration;
+    use std::sync::Arc;
     use std::time::Duration;
 
     fn tiny_spec(workers: usize) -> CampaignSpec {
@@ -283,6 +319,45 @@ mod tests {
         )
         .with_power_sizes(vec![2048])
         .with_workers(workers)
+    }
+
+    #[test]
+    fn both_drivers_report_the_earliest_plan_index_error() {
+        // Four units; plan indices 1 and 3 panic under distinct keys.
+        let mut plan = Plan::expand(&tiny_spec(2));
+        plan.units[1] = unit_of(1, Arc::new(PanickingExperiment("one")));
+        plan.units[3] = unit_of(3, Arc::new(PanickingExperiment("three")));
+        let assembly = || {
+            let (engine, cache) = (ExecutionEngine::new(2), ResultCache::new());
+            let subscription = engine.submit(&plan.units, &cache);
+            (
+                Assembly::new(plan.clone(), subscription, Instant::now()),
+                cache,
+                engine,
+            )
+        };
+        let expect_index_1 = |result: Result<CampaignReport, CampaignError>| match result {
+            Err(CampaignError::UnitPanicked { key, .. }) => assert_eq!(key, plan.units[1].key),
+            other => panic!("expected index 1's panic, got {other:?}"),
+        };
+
+        // Blocking: the in-process adapters' driver.
+        let (blocking, cache, _engine) = assembly();
+        expect_index_1(blocking.wait(2, &cache));
+
+        // Non-blocking: the reactor's driver, yielding while idle.
+        let (mut stepped, cache, _engine) = assembly();
+        let mut units = 0;
+        loop {
+            match stepped.next(false) {
+                Next::Unit(_) => units += 1,
+                Next::Failed => {}
+                Next::Pending => std::thread::yield_now(),
+                Next::Complete => break,
+            }
+        }
+        assert_eq!(units, 2, "the healthy siblings still deliver");
+        expect_index_1(stepped.finish(2, &cache));
     }
 
     #[test]

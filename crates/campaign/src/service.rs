@@ -106,11 +106,11 @@
 
 use crate::cache::{CachePersistError, CacheStats, ResultCache};
 use crate::engine::{
-    AdmitError, CancelHandle, ExecutionEngine, Priority, SubmitOptions, Subscription, UnitSource,
+    AdmitError, CancelHandle, ExecutionEngine, Priority, SubmitOptions, UnitSource,
 };
-use crate::plan::{Plan, UnitKey};
+use crate::plan::UnitKey;
 use crate::report::{CampaignReport, UnitReport};
-use crate::scheduler::CampaignError;
+use crate::scheduler::{Assembly, CampaignError, Next};
 use crate::spec::{CampaignSpec, SpecParseError};
 use oranges::experiments::ExperimentOutput;
 use oranges_harness::envelope::{EnvelopeError, Request, Response};
@@ -125,7 +125,6 @@ use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::TryRecvError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -147,7 +146,7 @@ pub enum ServiceError {
     /// The peer violated the protocol (unexpected kind, bad body).
     Protocol(String),
     /// The daemon's engine rejected the run at admission: it needed
-    /// more queue slots than the cap has free. Retry later, shrink the
+    /// more queue space than the cap has free. Retry later, shrink the
     /// spec, or raise the daemon's `--queue-cap`.
     Busy {
         /// Jobs queued at rejection time.
@@ -230,7 +229,7 @@ pub struct ServiceConfig {
     /// (possibly grown) cache back to it on shutdown.
     pub cache_path: Option<PathBuf>,
     /// Bound the engine's job queue: a `run` needing more fresh
-    /// computations than the cap has free slots is rejected whole with
+    /// computations than the cap has room for is rejected whole with
     /// a typed `busy` response. `None` (the default) admits everything.
     pub queue_cap: Option<usize>,
 }
@@ -717,19 +716,12 @@ enum ConnState {
     Subscribing(SubState),
 }
 
-/// One in-flight `run`, pumped incrementally from notify wakeups — the
-/// reactor-shaped twin of `scheduler::assemble_streamed`, preserving
-/// its semantics exactly: units stream as delivered, the
-/// earliest-plan-index error wins, a shut-down engine or a
-/// never-reported unit is a worker error.
+/// One in-flight `run`: its [`Assembly`], stepped without blocking on
+/// each notify wakeup, so units stream as delivered and the terminal
+/// response follows the same result rule as the in-process adapters.
 struct RunState {
     id: u64,
-    plan: Plan,
-    subscription: Subscription,
-    slots: Vec<Option<UnitReport>>,
-    first_error: Option<(usize, CampaignError)>,
-    received: usize,
-    started: Instant,
+    assembly: Assembly,
     /// Deregisters the run's `run_token` when the run state drops — on
     /// every exit path, including a connection that dies mid-stream.
     _guard: TokenGuard,
@@ -742,17 +734,6 @@ struct SubState {
     /// draining events (let the broadcaster's bounded log evict and
     /// count drops) until [`Event::Writable`] reports recovery.
     paused: bool,
-}
-
-/// What one completed delivery asks the dispatch loop to do — computed
-/// under the connection-table borrow, acted on after it ends.
-enum PumpStep {
-    /// Write a `unit` response; `bool` = that was the final delivery.
-    Unit(String, bool),
-    /// An error delivery was recorded; `bool` = final delivery.
-    Recorded(bool),
-    /// No delivery queued.
-    Idle,
 }
 
 /// The reactor dispatch loop: the daemon's single I/O thread. Owns the
@@ -1085,15 +1066,9 @@ impl<T: Transport> Dispatcher<'_, T> {
             drop(cancels);
             guard.token = Some(run_token);
         }
-        let slots = (0..plan.len()).map(|_| None).collect();
         let run = RunState {
             id: request.id,
-            plan,
-            subscription,
-            slots,
-            first_error: None,
-            received: 0,
-            started,
+            assembly: Assembly::new(plan, subscription, started),
             _guard: guard,
         };
         let Some(conn) = self.conns.get_mut(&token.id()) else {
@@ -1113,86 +1088,29 @@ impl<T: Transport> Dispatcher<'_, T> {
     /// delivery, finish the run with its terminal response.
     fn pump_run(&mut self, token: Token) {
         loop {
-            let step = {
+            let line = {
                 let Some(conn) = self.conns.get_mut(&token.id()) else {
                     return;
                 };
                 let ConnState::Running(run) = &mut conn.state else {
                     return;
                 };
-                let expected = run.subscription.expected();
-                match run.subscription.try_recv() {
-                    Ok(delivery) => {
-                        run.received += 1;
-                        let done = run.received == expected;
-                        match delivery.outcome {
-                            Ok(outcome) => {
-                                let unit = &run.plan.units[delivery.index];
-                                let report = UnitReport {
-                                    index: unit.index,
-                                    key: unit.key.clone(),
-                                    source: outcome.source,
-                                    wall: outcome.wall,
-                                    output: outcome.output,
-                                };
-                                let line = Response::ok(run.id, "unit")
-                                    .with_body(unit_body(&report))
-                                    .to_line();
-                                run.slots[delivery.index] = Some(report);
-                                PumpStep::Unit(line, done)
-                            }
-                            Err(error) => {
-                                // The earliest-plan-index error becomes
-                                // the terminal response, like the
-                                // blocking assembly always did.
-                                if run
-                                    .first_error
-                                    .as_ref()
-                                    .map(|(index, _)| delivery.index < *index)
-                                    .unwrap_or(true)
-                                {
-                                    run.first_error = Some((delivery.index, error));
-                                }
-                                PumpStep::Recorded(done)
-                            }
-                        }
-                    }
-                    Err(TryRecvError::Empty) => PumpStep::Idle,
-                    Err(TryRecvError::Disconnected) => {
-                        if run.received < expected {
-                            // Deliveries are missing and no sender is
-                            // left: the engine shut down underneath us.
-                            run.first_error = Some((
-                                0,
-                                CampaignError::Worker("engine shut down mid-campaign".to_string()),
-                            ));
-                            PumpStep::Recorded(true)
-                        } else {
-                            PumpStep::Idle
-                        }
-                    }
+                match run.assembly.next(false) {
+                    Next::Unit(report) => Response::ok(run.id, "unit")
+                        .with_body(unit_body(report))
+                        .to_line(),
+                    Next::Failed => continue,
+                    Next::Pending => return,
+                    Next::Complete => return self.finish_run(token),
                 }
             };
-            match step {
-                PumpStep::Unit(line, done) => {
-                    self.reactor.enqueue_write(token, line.as_bytes());
-                    self.shared.units_streamed.fetch_add(1, Ordering::Relaxed);
-                    if !self.reactor.is_registered(token) {
-                        // The write failed (client vanished): its Closed
-                        // event is queued, and dropping the run state
-                        // there cancels whatever nobody else wants.
-                        return;
-                    }
-                    if done {
-                        return self.finish_run(token);
-                    }
-                }
-                PumpStep::Recorded(done) => {
-                    if done {
-                        return self.finish_run(token);
-                    }
-                }
-                PumpStep::Idle => return,
+            self.reactor.enqueue_write(token, line.as_bytes());
+            self.shared.units_streamed.fetch_add(1, Ordering::Relaxed);
+            if !self.reactor.is_registered(token) {
+                // The write failed (client vanished): its Closed event
+                // is queued, and dropping the run state there cancels
+                // whatever nobody else wants.
+                return;
             }
         }
     }
@@ -1212,59 +1130,27 @@ impl<T: Transport> Dispatcher<'_, T> {
         };
         let RunState {
             id,
-            plan,
-            subscription,
-            slots,
-            first_error,
-            started,
+            assembly,
             _guard,
-            received: _,
         } = *run;
-        let response = match first_error {
-            Some((_, CampaignError::Cancelled { key })) => {
-                Response::ok(id, "cancelled").with_body(JsonValue::Object(vec![(
-                    "unit".to_string(),
-                    JsonValue::String(key.to_string()),
-                )]))
-            }
-            Some((_, CampaignError::DeadlineExceeded { key })) => {
-                Response::ok(id, "deadline_exceeded").with_body(JsonValue::Object(vec![(
-                    "unit".to_string(),
-                    JsonValue::String(key.to_string()),
-                )]))
-            }
-            Some((_, error)) => Response::failure(id, error.to_string()),
-            None => {
-                let mut units = Vec::with_capacity(plan.len());
-                let mut missing = None;
-                for (unit, slot) in plan.units.iter().zip(slots) {
-                    match slot {
-                        Some(report) => units.push(report),
-                        None => {
-                            missing = Some(format!("unit {} never reported", unit.key));
-                            break;
-                        }
-                    }
-                }
-                match missing {
-                    Some(message) => Response::failure(id, message),
-                    None => {
-                        let report = CampaignReport::new(
-                            units,
-                            self.shared.engine.workers().clamp(1, plan.len().max(1)),
-                            started.elapsed(),
-                            self.shared.cache.stats(),
-                        );
-                        self.shared.runs.fetch_add(1, Ordering::Relaxed);
-                        Response::ok(id, "done")
-                            .with_body(done_body(&report, self.shared.cache.model_digest()))
-                    }
-                }
-            }
+        let typed = |kind: &str, key: UnitKey| {
+            Response::ok(id, kind).with_body(JsonValue::Object(vec![(
+                "unit".to_string(),
+                JsonValue::String(key.to_string()),
+            )]))
         };
-        // The subscription resolved every unit; dropping it (and the
-        // token guard) now is the threaded handler's end-of-run scope.
-        drop(subscription);
+        // Finishing drops the subscription, and the token guard drops
+        // with this scope: the threaded handler's end-of-run.
+        let response = match assembly.finish(self.shared.engine.workers(), &self.shared.cache) {
+            Ok(report) => {
+                self.shared.runs.fetch_add(1, Ordering::Relaxed);
+                Response::ok(id, "done")
+                    .with_body(done_body(&report, self.shared.cache.model_digest()))
+            }
+            Err(CampaignError::Cancelled { key }) => typed("cancelled", key),
+            Err(CampaignError::DeadlineExceeded { key }) => typed("deadline_exceeded", key),
+            Err(error) => Response::failure(id, error.to_string()),
+        };
         self.respond(token, &response);
         self.after_command(token);
     }

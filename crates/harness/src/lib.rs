@@ -35,6 +35,9 @@
 //!   plane the campaign service multiplexes its connections on;
 //! - [`env`](mod@env): the §4 environment record.
 //!
+//! The crate builds on unix only: the reactor waits in `poll(2)` and
+//! the transports include Unix-domain sockets.
+//!
 //! Every measurement in the workspace flows through one typed record:
 //!
 //! ```text

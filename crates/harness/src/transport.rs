@@ -73,7 +73,6 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-#[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
@@ -110,8 +109,7 @@ impl std::error::Error for EndpointParseError {}
 /// picked.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Endpoint {
-    /// A Unix-domain socket path (`unix:/path`). Only bindable/dialable
-    /// on unix targets, though the address itself exists everywhere.
+    /// A Unix-domain socket path (`unix:/path`).
     Unix(PathBuf),
     /// A TCP authority (`tcp:host:port`), stored as `host:port`.
     Tcp(String),
@@ -301,12 +299,10 @@ pub trait Transport: Send + Sync + 'static {
 /// leaves one behind), and [`Listener::cleanup`] removes the file
 /// again after shutdown. A non-socket file at the path is **refused**,
 /// never deleted — a mistyped path must not cost data.
-#[cfg(unix)]
 #[derive(Debug)]
 pub struct UnixTransport;
 
 /// [`UnixTransport`]'s listening half: the socket plus the path it owns.
-#[cfg(unix)]
 #[derive(Debug)]
 pub struct UnixTransportListener {
     inner: UnixListener,
@@ -314,7 +310,6 @@ pub struct UnixTransportListener {
     path: PathBuf,
 }
 
-#[cfg(unix)]
 impl Stream for UnixStream {
     fn try_clone(&self) -> io::Result<Self> {
         UnixStream::try_clone(self)
@@ -329,7 +324,6 @@ impl Stream for UnixStream {
     }
 }
 
-#[cfg(unix)]
 impl Listener for UnixTransportListener {
     type Stream = UnixStream;
 
@@ -346,7 +340,6 @@ impl Listener for UnixTransportListener {
     }
 }
 
-#[cfg(unix)]
 impl Transport for UnixTransport {
     type Stream = UnixStream;
     type Listener = UnixTransportListener;
@@ -530,7 +523,6 @@ pub struct AnyTransport;
 #[derive(Debug)]
 pub enum AnyStream {
     /// An `AF_UNIX` connection.
-    #[cfg(unix)]
     Unix(UnixStream),
     /// A TCP connection.
     Tcp(TcpStream),
@@ -541,7 +533,6 @@ pub enum AnyStream {
 #[derive(Debug)]
 pub enum AnyListener {
     /// A bound Unix-domain socket.
-    #[cfg(unix)]
     Unix(UnixTransportListener),
     /// A bound TCP socket.
     Tcp(TcpTransportListener),
@@ -550,7 +541,6 @@ pub enum AnyListener {
 impl Read for AnyStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.read(buf),
             AnyStream::Tcp(stream) => stream.read(buf),
         }
@@ -560,7 +550,6 @@ impl Read for AnyStream {
 impl Write for AnyStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.write(buf),
             AnyStream::Tcp(stream) => stream.write(buf),
         }
@@ -568,7 +557,6 @@ impl Write for AnyStream {
 
     fn flush(&mut self) -> io::Result<()> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.flush(),
             AnyStream::Tcp(stream) => stream.flush(),
         }
@@ -578,7 +566,6 @@ impl Write for AnyStream {
 impl Stream for AnyStream {
     fn try_clone(&self) -> io::Result<Self> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => UnixStream::try_clone(stream).map(AnyStream::Unix),
             AnyStream::Tcp(stream) => TcpStream::try_clone(stream).map(AnyStream::Tcp),
         }
@@ -586,7 +573,6 @@ impl Stream for AnyStream {
 
     fn shutdown_read(&self) -> io::Result<()> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.shutdown_read(),
             AnyStream::Tcp(stream) => Stream::shutdown_read(stream),
         }
@@ -594,7 +580,6 @@ impl Stream for AnyStream {
 
     fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => Stream::set_nonblocking(stream, nonblocking),
             AnyStream::Tcp(stream) => Stream::set_nonblocking(stream, nonblocking),
         }
@@ -604,7 +589,6 @@ impl Stream for AnyStream {
 impl AsRawFd for AnyStream {
     fn as_raw_fd(&self) -> RawFd {
         match self {
-            #[cfg(unix)]
             AnyStream::Unix(stream) => stream.as_raw_fd(),
             AnyStream::Tcp(stream) => stream.as_raw_fd(),
         }
@@ -616,7 +600,6 @@ impl Listener for AnyListener {
 
     fn accept(&self) -> io::Result<Self::Stream> {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.accept().map(AnyStream::Unix),
             AnyListener::Tcp(listener) => listener.accept().map(AnyStream::Tcp),
         }
@@ -624,7 +607,6 @@ impl Listener for AnyListener {
 
     fn local_endpoint(&self) -> &Endpoint {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.local_endpoint(),
             AnyListener::Tcp(listener) => listener.local_endpoint(),
         }
@@ -632,7 +614,6 @@ impl Listener for AnyListener {
 
     fn dial_endpoint(&self) -> &Endpoint {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.dial_endpoint(),
             AnyListener::Tcp(listener) => listener.dial_endpoint(),
         }
@@ -640,7 +621,6 @@ impl Listener for AnyListener {
 
     fn cleanup(&self) {
         match self {
-            #[cfg(unix)]
             AnyListener::Unix(listener) => listener.cleanup(),
             AnyListener::Tcp(listener) => listener.cleanup(),
         }
@@ -653,26 +633,14 @@ impl Transport for AnyTransport {
 
     fn bind(endpoint: &Endpoint) -> io::Result<Self::Listener> {
         match endpoint {
-            #[cfg(unix)]
             Endpoint::Unix(_) => UnixTransport::bind(endpoint).map(AnyListener::Unix),
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("{endpoint}: unix sockets are unavailable on this platform"),
-            )),
             Endpoint::Tcp(_) => TcpTransport::bind(endpoint).map(AnyListener::Tcp),
         }
     }
 
     fn connect(endpoint: &Endpoint) -> io::Result<Self::Stream> {
         match endpoint {
-            #[cfg(unix)]
             Endpoint::Unix(_) => UnixTransport::connect(endpoint).map(AnyStream::Unix),
-            #[cfg(not(unix))]
-            Endpoint::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("{endpoint}: unix sockets are unavailable on this platform"),
-            )),
             Endpoint::Tcp(_) => TcpTransport::connect(endpoint).map(AnyStream::Tcp),
         }
     }
@@ -784,9 +752,7 @@ mod tests {
         for error in [
             TcpTransport::bind(&unix).expect_err("tcp cannot bind unix"),
             TcpTransport::connect(&unix).expect_err("tcp cannot dial unix"),
-            #[cfg(unix)]
             UnixTransport::bind(&tcp).expect_err("unix cannot bind tcp"),
-            #[cfg(unix)]
             UnixTransport::connect(&tcp).expect_err("unix cannot dial tcp"),
         ] {
             assert_eq!(error.kind(), io::ErrorKind::InvalidInput, "{error}");
@@ -862,7 +828,6 @@ mod tests {
         nonblocking_readiness_contract::<TcpTransport>(&"tcp:127.0.0.1:0".parse().unwrap());
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_nonblocking_reads_would_block_instead_of_parking() {
         let path = std::env::temp_dir().join(format!(
@@ -873,7 +838,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_read_half_shutdown_keeps_the_write_half() {
         let path = std::env::temp_dir().join(format!(
@@ -884,7 +848,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_bind_replaces_stale_socket_files_and_cleanup_removes_them() {
         let path = std::env::temp_dir().join(format!(
@@ -902,7 +865,6 @@ mod tests {
         assert!(!path.exists(), "cleanup removes the socket file");
     }
 
-    #[cfg(unix)]
     #[test]
     fn unix_bind_refuses_to_delete_non_socket_files() {
         let path = std::env::temp_dir().join(format!(
@@ -941,26 +903,23 @@ mod tests {
         server.join().expect("server");
 
         // Unix through the Any layer.
-        #[cfg(unix)]
-        {
-            let path = std::env::temp_dir()
-                .join(format!("oranges-transport-any-{}.sock", std::process::id()));
-            let listener = AnyTransport::bind(&Endpoint::Unix(path.clone())).expect("bind unix");
-            assert_eq!(listener.local_endpoint().scheme(), "unix");
-            let local = listener.local_endpoint().clone();
-            let server = std::thread::spawn(move || {
-                let mut stream = listener.accept().expect("accept");
-                let mut byte = [0u8; 1];
-                stream.read_exact(&mut byte).expect("read");
-                stream.write_all(&byte).expect("echo");
-                listener.cleanup();
-            });
-            let mut client = AnyTransport::connect(&local).expect("connect");
-            client.write_all(b"U").expect("send");
-            let mut back = [0u8; 1];
-            client.read_exact(&mut back).expect("recv");
-            assert_eq!(&back, b"U");
-            server.join().expect("server");
-        }
+        let path =
+            std::env::temp_dir().join(format!("oranges-transport-any-{}.sock", std::process::id()));
+        let listener = AnyTransport::bind(&Endpoint::Unix(path.clone())).expect("bind unix");
+        assert_eq!(listener.local_endpoint().scheme(), "unix");
+        let local = listener.local_endpoint().clone();
+        let server = std::thread::spawn(move || {
+            let mut stream = listener.accept().expect("accept");
+            let mut byte = [0u8; 1];
+            stream.read_exact(&mut byte).expect("read");
+            stream.write_all(&byte).expect("echo");
+            listener.cleanup();
+        });
+        let mut client = AnyTransport::connect(&local).expect("connect");
+        client.write_all(b"U").expect("send");
+        let mut back = [0u8; 1];
+        client.read_exact(&mut back).expect("recv");
+        assert_eq!(&back, b"U");
+        server.join().expect("server");
     }
 }

@@ -9,7 +9,6 @@
 use oranges_campaign::prelude::*;
 use oranges_campaign::service::{CampaignService, ServiceClient, ServiceConfig, ServiceSummary};
 use oranges_campaign::OrchestrateError;
-#[cfg(unix)]
 use oranges_harness::transport::UnixTransport;
 use oranges_harness::transport::{AnyTransport, TcpTransport};
 use std::thread::JoinHandle;
@@ -88,7 +87,6 @@ fn fleet_campaign_is_value_identical_to_single_process() {
     daemon_b.join().expect("daemon B");
 }
 
-#[cfg(unix)]
 #[test]
 fn fleet_spans_mixed_transports() {
     // One unix daemon (this host) + one TCP daemon ("remote"): the

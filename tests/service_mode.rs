@@ -15,7 +15,6 @@ use oranges_campaign::prelude::*;
 use oranges_campaign::service::{
     CampaignService, RunOptions, ServiceClient, ServiceConfig, ServiceError, ServiceSummary,
 };
-#[cfg(unix)]
 use oranges_harness::transport::UnixTransport;
 use oranges_harness::transport::{Endpoint, TcpTransport, Transport};
 use std::path::PathBuf;
@@ -35,7 +34,6 @@ trait TestTransport: Transport {
     fn endpoint(name: &str) -> Endpoint;
 }
 
-#[cfg(unix)]
 impl TestTransport for UnixTransport {
     const TAG: &'static str = "unix";
     fn endpoint(name: &str) -> Endpoint {
@@ -131,6 +129,17 @@ fn served_results_are_value_identical_to_a_local_run_over<T: TestTransport>() {
             assert!(!set.provenance.experiment.is_empty());
         }
     }
+    assert_eq!(served.fingerprint, local.fingerprint());
+
+    // A shard past the plan's last unit is empty: over the wire it
+    // still ends with `done`, exactly like the local run.
+    let empty = CampaignSpec::new(vec![ExperimentKind::Fig4], vec![ChipGeneration::M1])
+        .with_power_sizes(vec![2048])
+        .with_shard(1, 2)
+        .expect("valid shard");
+    let served = client.run(&empty).expect("an empty shard ends with done");
+    let local = run_campaign(&empty, &ResultCache::new()).expect("local run");
+    assert!(served.units.is_empty() && local.units.is_empty());
     assert_eq!(served.fingerprint, local.fingerprint());
 
     client.shutdown().expect("shutdown");
@@ -1183,6 +1192,5 @@ macro_rules! transport_matrix {
     };
 }
 
-#[cfg(unix)]
 transport_matrix!(unix_transport, UnixTransport);
 transport_matrix!(tcp_transport, TcpTransport);

@@ -1096,9 +1096,7 @@ impl<T: Transport> Dispatcher<'_, T> {
                     return;
                 };
                 match run.assembly.next(false) {
-                    Next::Unit(report) => Response::ok(run.id, "unit")
-                        .with_body(unit_body(report))
-                        .to_line(),
+                    Next::Unit(report) => unit_line(run.id, report),
                     Next::Failed => continue,
                     Next::Pending => return,
                     Next::Complete => return self.finish_run(token),
@@ -1649,13 +1647,13 @@ fn metrics_text(mut scrape: Scrape) -> String {
     exp.finish()
 }
 
-/// The `unit` response body: the unit's coordinates plus its full
+/// The `unit` response line: the unit's coordinates, then its full
 /// provenance-stamped sets — exactly the envelope shape
-/// [`ExperimentOutput::from_json_value`] rebuilds on the client.
-fn unit_body(unit: &UnitReport) -> JsonValue {
-    // `output.json` is the canonical sets array; re-parsing it embeds the
-    // sets as a tree without re-deriving their serialization.
-    let sets = json::parse(&unit.output.json).expect("canonical JSON parses");
+/// [`ExperimentOutput::from_json_value`] rebuilds on the client. The
+/// small header goes through the envelope writer; the sets are the
+/// cached canonical bytes ([`ExperimentOutput::json`]), spliced in as
+/// they are, so a warm unit costs no parse and no re-emit.
+fn unit_line(id: u64, unit: &UnitReport) -> String {
     let mut fields = vec![
         ("index".to_string(), JsonValue::integer(unit.index as u64)),
         ("id".to_string(), JsonValue::String(unit.key.id.clone())),
@@ -1675,8 +1673,20 @@ fn unit_body(unit: &UnitReport) -> JsonValue {
     if let Some(rendered) = &unit.output.rendered {
         fields.push(("rendered".to_string(), JsonValue::String(rendered.clone())));
     }
-    fields.push(("sets".to_string(), sets));
-    JsonValue::Object(fields)
+    let head = Response::ok(id, "unit")
+        .with_body(JsonValue::Object(fields))
+        .to_line();
+    // `head` ends `}}\n`: reopen the body, append the sets, close again.
+    let head = head
+        .strip_suffix("}}\n")
+        .expect("an envelope line closes its object body");
+    let sets = &unit.output.json;
+    let mut line = String::with_capacity(head.len() + ",\"sets\":".len() + sets.len() + 3);
+    line.push_str(head);
+    line.push_str(",\"sets\":");
+    line.push_str(sets);
+    line.push_str("}}\n");
+    line
 }
 
 /// The `done` response body: campaign totals, the value-identity
@@ -2288,16 +2298,18 @@ mod tests {
     use oranges_harness::obs::Histogram;
     use std::sync::Arc as StdArc;
 
-    fn unit_report() -> UnitReport {
+    fn unit_report(rendered: &str, wall_time_s: Option<f64>) -> UnitReport {
         let mut output = ExperimentOutput::from_sets(
             vec![MetricSet::for_chip("fig4", "chip=M2", "M2")
                 .with_implementation("GPU-MPS")
                 .with_n(2048)
                 .metric("gflops_per_watt", 214.5, "GFLOPS/W")],
-            Some("chart".to_string()),
+            Some(rendered.to_string()),
         )
         .expect("serializable");
-        output.stamp_wall_time(0.05);
+        if let Some(seconds) = wall_time_s {
+            output.stamp_wall_time(seconds);
+        }
         UnitReport {
             index: 3,
             key: UnitKey {
@@ -2311,21 +2323,30 @@ mod tests {
     }
 
     #[test]
-    fn unit_body_round_trips_through_the_client_parser() {
-        let report = unit_report();
-        let body = unit_body(&report);
-        let served = parse_served_unit(&body).expect("parses");
-        assert_eq!(served.index, 3);
-        assert_eq!(served.key, report.key);
-        assert_eq!(served.source, UnitSource::Coalesced);
-        assert!(served.from_cache());
-        assert_eq!(
-            served.output.json, report.output.json,
-            "value identity crosses the wire"
-        );
-        assert_eq!(served.output.sets, report.output.sets);
-        assert_eq!(served.output.rendered.as_deref(), Some("chart"));
-        assert_eq!(served.output.wall_time_s(), Some(0.05));
+    fn unit_line_round_trips_through_the_client_parser() {
+        let stamped = unit_report("chart \"M2\" \\ 214.5\n\tGFLOPS/W — Pérez ✓", Some(0.05));
+        let unstamped = unit_report("plain", None);
+        for report in [stamped, unstamped] {
+            let line = unit_line(11, &report);
+            assert!(line.ends_with('\n'));
+            assert_eq!(line.matches('\n').count(), 1, "one line per unit");
+            let response = Response::from_line(&line).expect("a well-formed envelope");
+            assert_eq!(response.to_line(), line, "parse then emit is the identity");
+            assert_eq!((response.id, response.kind.as_str()), (11, "unit"));
+            let served =
+                parse_served_unit(response.body.as_ref().expect("a body")).expect("parses");
+            assert_eq!(served.index, 3);
+            assert_eq!(served.key, report.key);
+            assert_eq!(served.source, UnitSource::Coalesced);
+            assert!(served.from_cache());
+            assert_eq!(
+                served.output.json, report.output.json,
+                "value identity crosses the wire"
+            );
+            assert_eq!(served.output.sets, report.output.sets);
+            assert_eq!(served.output.rendered, report.output.rendered);
+            assert_eq!(served.output.wall_time_s(), report.output.wall_time_s());
+        }
     }
 
     #[test]

@@ -64,6 +64,12 @@ pub struct ExperimentOutput {
     /// runs (wall-time is excluded from serialization and the
     /// deterministic simulation guarantees the rest); the campaign's
     /// value-identity checks and cache semantics rest on this.
+    ///
+    /// Invariant: this is single-line canonical emitter output, produced
+    /// only by [`from_sets`](ExperimentOutput::from_sets) (outputs rebuilt
+    /// from disk or the wire re-derive it there). The campaign service
+    /// splices these bytes verbatim into every `unit` response line, so
+    /// a hand-built value here would go out on the wire unchecked.
     pub json: String,
     /// The unit's measurements: one [`MetricSet`] per grid coordinate.
     pub sets: Vec<MetricSet>,

@@ -84,16 +84,7 @@ impl Request {
 
     /// Emit as one newline-terminated JSON line.
     pub fn to_line(&self) -> String {
-        let mut fields = vec![
-            ("id".to_string(), JsonValue::integer(self.id)),
-            ("method".to_string(), JsonValue::String(self.method.clone())),
-        ];
-        if let Some(body) = &self.body {
-            fields.push(("body".to_string(), body.clone()));
-        }
-        let mut line = JsonValue::Object(fields).to_json_string();
-        line.push('\n');
-        line
+        envelope_line(self.id, ("method", &self.method), None, self.body.as_ref())
     }
 
     /// Parse one line back into a request.
@@ -163,19 +154,12 @@ impl Response {
 
     /// Emit as one newline-terminated JSON line.
     pub fn to_line(&self) -> String {
-        let mut fields = vec![
-            ("id".to_string(), JsonValue::integer(self.id)),
-            ("kind".to_string(), JsonValue::String(self.kind.clone())),
-        ];
-        if let Some(error) = &self.error {
-            fields.push(("error".to_string(), JsonValue::String(error.clone())));
-        }
-        if let Some(body) = &self.body {
-            fields.push(("body".to_string(), body.clone()));
-        }
-        let mut line = JsonValue::Object(fields).to_json_string();
-        line.push('\n');
-        line
+        envelope_line(
+            self.id,
+            ("kind", &self.kind),
+            self.error.as_deref(),
+            self.body.as_ref(),
+        )
     }
 
     /// Parse one line back into a response.
@@ -201,6 +185,29 @@ impl Response {
             body: value.get("body").cloned(),
         })
     }
+}
+
+/// Write `{"id":…,"<name>":…[,"error":…][,"body":…]}` and its `\n`
+/// straight into one buffer: the body is emitted in place, never copied
+/// into a wrapper tree first.
+fn envelope_line(
+    id: u64,
+    (name, value): (&str, &str),
+    error: Option<&str>,
+    body: Option<&JsonValue>,
+) -> String {
+    let mut line = format!("{{\"id\":{id},\"{name}\":");
+    json::escape_into(&mut line, value);
+    if let Some(error) = error {
+        line.push_str(",\"error\":");
+        json::escape_into(&mut line, error);
+    }
+    if let Some(body) = body {
+        line.push_str(",\"body\":");
+        body.emit_into(&mut line);
+    }
+    line.push_str("}\n");
+    line
 }
 
 fn parse_line(line: &str) -> Result<JsonValue, EnvelopeError> {
@@ -275,6 +282,22 @@ mod tests {
         }
         assert!(Response::from_line("{\"id\":1}").is_err());
         assert!(Response::from_line("{\"id\":1,\"kind\":\"x\",\"error\":7}").is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_emit_null_and_round_trip() {
+        for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let number = JsonValue::number(value);
+            assert_eq!(number.to_json_string(), "null", "{value}");
+            let response = Response::ok(4, "stats")
+                .with_body(JsonValue::Object(vec![("wall_time_s".to_string(), number)]));
+            let line = response.to_line();
+            assert_eq!(
+                line,
+                "{\"id\":4,\"kind\":\"stats\",\"body\":{\"wall_time_s\":null}}\n"
+            );
+            assert_eq!(Response::from_line(&line).unwrap(), response);
+        }
     }
 
     #[test]

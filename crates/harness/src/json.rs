@@ -35,7 +35,7 @@ pub fn to_json_string<T: Serialize>(value: &T) -> Result<String, JsonError> {
     Ok(out)
 }
 
-fn escape_into(out: &mut String, s: &str) {
+pub(crate) fn escape_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -410,9 +410,15 @@ impl JsonNumber {
 }
 
 impl JsonValue {
-    /// A number value from an `f64` (test/construction convenience).
+    /// A number value from an `f64`. Non-finite input becomes `null`,
+    /// exactly as the serde emitter writes it: JSON has no NaN or
+    /// infinity.
     pub fn number(value: f64) -> JsonValue {
-        JsonValue::Number(JsonNumber(format!("{value}")))
+        if value.is_finite() {
+            JsonValue::Number(JsonNumber(format!("{value}")))
+        } else {
+            JsonValue::Null
+        }
     }
 
     /// A number value from a `u64`, kept exact (no `f64` rounding).
@@ -430,7 +436,7 @@ impl JsonValue {
         out
     }
 
-    fn emit_into(&self, out: &mut String) {
+    pub(crate) fn emit_into(&self, out: &mut String) {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(true) => out.push_str("true"),

@@ -514,6 +514,91 @@ fn unit_responses_stream_before_the_run_completes_over<T: TestTransport>() {
     daemon.join().expect("daemon");
 }
 
+/// The paper grid computed once per test binary, with the cache it
+/// filled: each transport's instance warm-starts a daemon from a saved
+/// copy of that cache.
+fn paper_grid_run() -> &'static (CampaignReport, ResultCache) {
+    static RUN: std::sync::OnceLock<(CampaignReport, ResultCache)> = std::sync::OnceLock::new();
+    RUN.get_or_init(|| {
+        let cache = ResultCache::new();
+        let report = run_campaign(&CampaignSpec::paper_grid(), &cache).expect("local paper grid");
+        (report, cache)
+    })
+}
+
+/// A warm `unit` line splices the cached canonical sets in as they are.
+/// Over the whole paper grid, served from a cache loaded off disk, every
+/// line is one `\n`-terminated line, is its own parse → emit image, and
+/// carries exactly the local run's canonical sets.
+fn warm_unit_lines_splice_the_cached_canonical_sets_over<T: TestTransport>() {
+    use oranges_harness::envelope::{Request, Response};
+    use oranges_harness::json::{self, JsonValue};
+    use std::io::{BufRead, BufReader, Write};
+
+    let (local, cache) = paper_grid_run();
+    let cache_file = temp_path(&format!("splice-{}.json", T::TAG));
+    cache.save(&cache_file).expect("save the paper-grid cache");
+    let (endpoint, daemon) = start_daemon::<T>("splice", |c| c.with_cache_path(&cache_file));
+
+    let mut stream = T::connect(&endpoint).expect("connect");
+    let spec = json::parse(&CampaignSpec::paper_grid().to_json()).expect("spec JSON parses");
+    let request = Request::new(1, "run").with_body(spec).to_line();
+    stream.write_all(request.as_bytes()).expect("send the grid");
+    let mut reader = BufReader::new(stream);
+    let mut served = vec![false; local.units.len()];
+    let done = loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read a response");
+        assert!(line.ends_with('\n'), "a whole line: {line:?}");
+        assert_eq!(line.matches('\n').count(), 1, "one line per response");
+        let response = Response::from_line(&line).expect("a well-formed response");
+        assert_eq!(response.to_line(), line, "parse then emit is the identity");
+        let body = response.body.expect("every response has a body");
+        if response.kind != "unit" {
+            assert_eq!(response.kind, "done", "{line}");
+            break body;
+        }
+        let index = body
+            .get("index")
+            .and_then(JsonValue::as_u64)
+            .expect("index") as usize;
+        let unit = &local.units[index];
+        assert_eq!(unit.index, index);
+        assert_eq!(
+            body.get("id").and_then(JsonValue::as_str),
+            Some(unit.key.id.as_str())
+        );
+        assert_eq!(
+            body.get("params").and_then(JsonValue::as_str),
+            Some(unit.key.params.as_str())
+        );
+        assert_eq!(body.get("from_cache"), Some(&JsonValue::Bool(true)));
+        let sets = body.get("sets").expect("a sets array");
+        assert_eq!(
+            sets.to_json_string(),
+            unit.output.json,
+            "canonical sets for {}",
+            unit.key
+        );
+        assert!(!std::mem::replace(&mut served[index], true), "served twice");
+    };
+    assert!(served.iter().all(|&s| s), "every unit served");
+    assert_eq!(
+        done.get("computed_units").and_then(JsonValue::as_u64),
+        Some(0)
+    );
+    assert_eq!(
+        done.get("fingerprint").and_then(JsonValue::as_str),
+        Some(local.fingerprint().as_str())
+    );
+
+    drop(reader);
+    let mut client = ServiceClient::<T>::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    daemon.join().expect("daemon");
+    std::fs::remove_file(&cache_file).ok();
+}
+
 /// The observability surface: `metrics` returns a parseable exposition
 /// carrying per-experiment latency histograms, `health` reports ready,
 /// and the exposition agrees with the `stats` counter set.
@@ -1158,6 +1243,11 @@ macro_rules! transport_matrix {
             #[test]
             fn unit_responses_stream_before_the_run_completes() {
                 unit_responses_stream_before_the_run_completes_over::<$transport>();
+            }
+
+            #[test]
+            fn warm_unit_lines_splice_the_cached_canonical_sets() {
+                warm_unit_lines_splice_the_cached_canonical_sets_over::<$transport>();
             }
 
             #[test]

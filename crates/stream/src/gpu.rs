@@ -24,7 +24,9 @@ pub struct GpuStreamConfig {
     pub elements: usize,
     /// Repetitions (paper: 20).
     pub reps: u32,
-    /// Run the kernels functionally (real arithmetic + validation).
+    /// Run the kernels functionally: fill the arrays with stream.c's 1/2/0,
+    /// do the real arithmetic and validate the result. A modeled run
+    /// (`false`) allocates the arrays but never initializes or reads them.
     pub functional: bool,
     /// Warm-up curve amplitude.
     pub noise_amplitude: f64,
@@ -90,6 +92,11 @@ impl GpuStream {
     }
 
     /// Run the benchmark: `reps` repetitions of the four-kernel sequence.
+    ///
+    /// The reported times come from the array length and the timing model
+    /// only. A modeled run allocates the three arrays but never
+    /// initializes or reads them; only a functional run fills them and
+    /// validates the f32 recurrence.
     pub fn run(&self) -> Result<StreamRun, MetalError> {
         let n = self.config.elements;
         let lib = self.device.new_default_library();
@@ -98,14 +105,15 @@ impl GpuStream {
         let add = lib.pipeline("stream_add")?;
         let triad = lib.pipeline("stream_triad")?;
 
-        // stream.c initialization, f32.
-        let buf_a = self
-            .device
-            .new_buffer_with_data(&vec![1.0f32; n], StorageMode::Shared)?;
-        let buf_b = self
-            .device
-            .new_buffer_with_data(&vec![2.0f32; n], StorageMode::Shared)?;
+        // Zeroed allocations; only a functional run writes stream.c's
+        // initialization (f32), so a modeled run never touches their pages.
+        let buf_a = self.device.new_buffer(n, StorageMode::Shared)?;
+        let buf_b = self.device.new_buffer(n, StorageMode::Shared)?;
         let buf_c = self.device.new_buffer(n, StorageMode::Shared)?;
+        if self.config.functional {
+            buf_a.with_write(|s| s.fill(1.0))?;
+            buf_b.with_write(|s| s.fill(2.0))?;
+        }
 
         let queue = self.device.new_command_queue();
         let grid = MtlSize::d1(self.config.threadgroups);
@@ -163,18 +171,17 @@ impl GpuStream {
         // Validate functional results against the f32 recurrence.
         let validated = if self.config.functional {
             let expected = expected_f32_after(self.config.reps);
-            let a = buf_a.read_to_vec()?;
-            let b = buf_b.read_to_vec()?;
-            let c = buf_c.read_to_vec()?;
-            for (name, arr, want) in [
-                ("a", &a, expected.0),
-                ("b", &b, expected.1),
-                ("c", &c, expected.2),
+            for (name, buf, want) in [
+                ("a", &buf_a, expected.0),
+                ("b", &buf_b, expected.1),
+                ("c", &buf_c, expected.2),
             ] {
-                for (i, &v) in arr.iter().enumerate() {
-                    let err = ((v - want) / want).abs();
-                    assert!(err < 1e-4, "GPU STREAM {name}[{i}] = {v}, expected {want}");
-                }
+                buf.with_read(|arr| {
+                    for (i, &v) in arr.iter().enumerate() {
+                        let err = ((v - want) / want).abs();
+                        assert!(err < 1e-4, "GPU STREAM {name}[{i}] = {v}, expected {want}");
+                    }
+                })?;
             }
             true
         } else {
@@ -262,6 +269,31 @@ mod tests {
             .unwrap();
         assert!(run.validated);
         assert_eq!(run.element_bytes, 4);
+    }
+
+    #[test]
+    fn modeled_and_functional_runs_report_identical_timings() {
+        let config = GpuStreamConfig::functional_small();
+        let run = |functional| {
+            GpuStream::with_config(
+                ChipGeneration::M1,
+                GpuStreamConfig {
+                    functional,
+                    ..config
+                },
+            )
+            .run()
+            .unwrap()
+        };
+        let (functional, modeled) = (run(true), run(false));
+        assert!(functional.validated);
+        assert!(!modeled.validated);
+        // Array contents never feed the timings, so skipping the fill of a
+        // modeled run cannot move a reported number.
+        assert_eq!(functional.results, modeled.results);
+        for chip in ChipGeneration::ALL {
+            assert!(!GpuStream::new(chip).run().unwrap().validated, "{chip}");
+        }
     }
 
     #[test]

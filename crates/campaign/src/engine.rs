@@ -1509,7 +1509,7 @@ pub(crate) mod tests {
     fn lifecycle_events_and_latency_histograms_cover_every_path() {
         let engine = ExecutionEngine::new(2);
         let cache = ResultCache::new();
-        let stream = engine.events().subscribe(|| {});
+        let stream = engine.events().subscribe();
         assert_eq!(engine.event_subscribers(), 1);
 
         let (experiment, gate, _) = GatedExperiment::new("observed");
@@ -1561,7 +1561,7 @@ pub(crate) mod tests {
         let cache = ResultCache::new();
         // A subscriber that never reads: its cursor stays at the start
         // of the shared log while the engine keeps publishing.
-        let _slow = engine.events().subscribe(|| {});
+        let _slow = engine.events().subscribe();
         for round in 0..8 {
             let (experiment, gate, _) = GatedExperiment::new(&format!("burst{round}"));
             release(&gate);

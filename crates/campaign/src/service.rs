@@ -35,9 +35,8 @@
 //! | `shutdown` | — | `bye`, then the daemon drains connections and exits |
 //!
 //! The service stack is generic over [`Transport`]: [`CampaignService`]
-//! binds whatever scheme its configured [`Endpoint`] names, the
-//! live-connection registry holds that transport's streams, and the
-//! shutdown drain self-dials through the same transport. Use
+//! binds whatever scheme its configured [`Endpoint`] names, and the
+//! reactor watches that transport's listener and holds its streams. Use
 //! [`UnixTransport`](oranges_harness::transport::UnixTransport) or
 //! [`TcpTransport`](oranges_harness::transport::TcpTransport) when the
 //! scheme is fixed at compile time, or
@@ -48,19 +47,20 @@
 //! the whole matrix over each).
 //!
 //! Connections are handled **concurrently** on a single I/O thread: a
-//! readiness reactor ([`oranges_harness::reactor`]) owns every accepted
-//! stream as a nonblocking table entry, so an idle connection or a
-//! parked `subscribe` stream costs a table row, not an OS thread — the
-//! daemon's thread census is O(1) in its connection count (accept +
-//! dispatch + the engine's workers and reaper). Compute stays
-//! thread-based in the engine; engine unit completions reach the
-//! reactor through coalescing wakeup notifies, and `unit` responses
-//! for a `run` are written the moment the engine delivers them, not
-//! after the whole campaign: a client watching a long run sees results
-//! incrementally (each `unit` body carries its plan `index`;
-//! [`ServiceClient`] reassembles plan order). Because all connections
-//! share one engine and one cache, two clients submitting overlapping
-//! specs compute each shared unit exactly once: the second
+//! readiness reactor ([`oranges_harness::reactor`]) waits in one
+//! `poll(2)` set holding the listener, its wakeup socket and every
+//! accepted stream as a nonblocking table entry, so an idle connection
+//! or a parked `subscribe` stream costs a table row, not an OS thread —
+//! the daemon's thread census is O(1) in its connection count (the
+//! dispatch thread plus the engine's workers and reaper). Compute stays
+//! thread-based in the engine; engine unit completions and event-log
+//! publishes reach the reactor through coalescing wakeup notifies, and
+//! `unit` responses for a `run` are written the moment the engine
+//! delivers them, not after the whole campaign: a client watching a
+//! long run sees results incrementally (each `unit` body carries its
+//! plan `index`; [`ServiceClient`] reassembles plan order). Because all
+//! connections share one engine and one cache, two clients submitting
+//! overlapping specs compute each shared unit exactly once: the second
 //! subscription *coalesces* onto the in-flight computation, visible in
 //! the `stats` counters (`coalesced_joins`) and per-run in the `done`
 //! body (`coalesced_units`).
@@ -116,15 +116,13 @@ use oranges::experiments::ExperimentOutput;
 use oranges_harness::envelope::{EnvelopeError, Request, Response};
 use oranges_harness::json::{self, JsonValue};
 use oranges_harness::obs::{CampaignEvent, EventKind, EventStream, Exposition, HistogramSnapshot};
-use oranges_harness::reactor::{
-    Event, Reactor, ReadInterest, Token, WakeHandle, WRITE_BACKLOG_THRESHOLD,
-};
+use oranges_harness::reactor::{Event, Reactor, ReadInterest, Token, WRITE_BACKLOG_THRESHOLD};
 use oranges_harness::transport::{Endpoint, Listener, Stream, Transport};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::os::fd::AsRawFd;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -302,9 +300,9 @@ pub struct ServiceSummary {
     /// Lifecycle events a `subscribe` client lost by falling behind the
     /// shared event log — publishing never blocks an engine worker.
     pub events_dropped: u64,
-    /// Reactor wakeups delivered for engine completion notifies
-    /// (coalesced: a burst of unit completions between two dispatch
-    /// turns costs one wakeup).
+    /// Reactor wakeups delivered for engine completion notifies and
+    /// event-log publishes (coalesced: a burst of unit completions or
+    /// events between two dispatch turns costs one wakeup).
     pub reactor_notify_wakeups: u64,
     /// Reactor timer expirations delivered (subscribe heartbeats).
     pub reactor_timer_wakeups: u64,
@@ -337,8 +335,8 @@ pub struct ServiceGauges {
     pub reactor_registered_connections: u64,
 }
 
-/// Mutable daemon state shared by the accept thread and the reactor
-/// dispatch loop (and read by `stats`/`metrics` handlers).
+/// What the service handle and its dispatch loop share: the engine,
+/// the warm cache, the configuration and the run-token registry.
 struct ServiceShared {
     engine: ExecutionEngine,
     cache: ResultCache,
@@ -347,91 +345,10 @@ struct ServiceShared {
     /// real port; a wildcard host stays a wildcard, faithful to the
     /// bind) — what `local_endpoint()` reports.
     local: Endpoint,
-    /// The self-dialable form of `local` (wildcard host → loopback) —
-    /// what the shutdown handler dials to wake the accept loop.
-    dial: Endpoint,
-    shutdown: AtomicBool,
     /// Active runs that registered a `run_token`, so a `cancel` request
     /// — from *any* connection — can reach their engine subscription.
     /// Entries are removed when their run finishes.
     cancels: Arc<Mutex<HashMap<String, CancelHandle>>>,
-    connections: AtomicU64,
-    active_connections: AtomicU64,
-    requests: AtomicU64,
-    runs: AtomicU64,
-    units_streamed: AtomicU64,
-    /// Reactor counters, mirrored out of the (single-threaded) dispatch
-    /// loop so `serve`'s final summary and concurrent readers see them.
-    reactor_notify_wakeups: AtomicU64,
-    reactor_timer_wakeups: AtomicU64,
-    reactor_connections: AtomicU64,
-}
-
-impl ServiceShared {
-    fn summary(&self) -> ServiceSummary {
-        let engine = self.engine.stats();
-        ServiceSummary {
-            connections: self.connections.load(Ordering::Relaxed),
-            active_connections: self.active_connections.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            runs: self.runs.load(Ordering::Relaxed),
-            units_streamed: self.units_streamed.load(Ordering::Relaxed),
-            units_computed: engine.units_computed,
-            unit_cache_hits: engine.cache_hits,
-            coalesced_joins: engine.coalesced_joins,
-            units_submitted: engine.units_submitted,
-            units_failed: engine.units_failed,
-            units_cancelled: engine.units_cancelled,
-            deadline_expired: engine.deadline_expired,
-            submissions_rejected: engine.submissions_rejected,
-            events_dropped: engine.events_dropped,
-            reactor_notify_wakeups: self.reactor_notify_wakeups.load(Ordering::Relaxed),
-            reactor_timer_wakeups: self.reactor_timer_wakeups.load(Ordering::Relaxed),
-        }
-    }
-
-    fn gauges(&self) -> ServiceGauges {
-        let depths = self.engine.queue_depths();
-        ServiceGauges {
-            queue_depth: depths.iter().sum::<usize>() as u64,
-            queue_high: depths[0] as u64,
-            queue_normal: depths[1] as u64,
-            queue_batch: depths[2] as u64,
-            units_inflight: self.engine.inflight() as u64,
-            event_subscribers: self.engine.event_subscribers() as u64,
-            workers_alive: self.engine.alive_workers() as u64,
-            reactor_registered_connections: self.reactor_connections.load(Ordering::Relaxed),
-        }
-    }
-
-    /// One snapshot for a `stats` body.
-    fn stats(&self) -> ServiceStats {
-        ServiceStats {
-            cache: self.cache.stats(),
-            model_digest: self.cache.model_digest().to_string(),
-            summary: self.summary(),
-            gauges: self.gauges(),
-        }
-    }
-
-    /// One snapshot for a `metrics` exposition.
-    fn scrape(&self) -> Scrape {
-        Scrape {
-            stats: self.stats(),
-            workers_configured: self.engine.workers() as u64,
-            latencies: self.engine.latency_snapshots(),
-        }
-    }
-
-    fn health(&self) -> HealthReport {
-        HealthReport::of(
-            self.shutdown.load(Ordering::Relaxed),
-            self.engine.alive_workers(),
-            self.engine.workers(),
-            self.cache.stats().entries,
-            &self.local,
-        )
-    }
 }
 
 /// Liveness + readiness, answered by the `health` method. A daemon that
@@ -533,7 +450,7 @@ impl HealthReport {
 /// count does not grow with its connection count.
 pub struct CampaignService<T: Transport> {
     listener: T::Listener,
-    shared: Arc<ServiceShared>,
+    shared: ServiceShared,
 }
 
 impl<T: Transport> CampaignService<T> {
@@ -562,27 +479,16 @@ impl<T: Transport> CampaignService<T> {
         let listener = T::bind(&config.listen)
             .map_err(|e| io_err(&format!("binding {}", config.listen), e))?;
         let local = listener.local_endpoint().clone();
-        let dial = listener.dial_endpoint().clone();
         let engine = ExecutionEngine::with_queue_cap(config.workers, config.queue_cap);
         Ok(CampaignService {
             listener,
-            shared: Arc::new(ServiceShared {
+            shared: ServiceShared {
                 engine,
                 cache,
                 config,
                 local,
-                dial,
-                shutdown: AtomicBool::new(false),
                 cancels: Arc::new(Mutex::new(HashMap::new())),
-                connections: AtomicU64::new(0),
-                active_connections: AtomicU64::new(0),
-                requests: AtomicU64::new(0),
-                runs: AtomicU64::new(0),
-                units_streamed: AtomicU64::new(0),
-                reactor_notify_wakeups: AtomicU64::new(0),
-                reactor_timer_wakeups: AtomicU64::new(0),
-                reactor_connections: AtomicU64::new(0),
-            }),
+            },
         })
     }
 
@@ -595,51 +501,49 @@ impl<T: Transport> CampaignService<T> {
     /// replaced by the OS-assigned port, and a wildcard host
     /// (`tcp:0.0.0.0:…`) is reported as such — it means "all
     /// interfaces", which is exactly what an operator starting a fleet
-    /// daemon wants to see. (Clients on *this* host can always dial a
-    /// concrete-host endpoint verbatim; the daemon's own shutdown
-    /// self-dial uses the loopback form internally.)
+    /// daemon wants to see.
     pub fn local_endpoint(&self) -> &Endpoint {
         &self.shared.local
     }
 
     /// Accept connections and serve them all from one readiness
-    /// reactor — every live connection is a table entry, not a thread —
-    /// until a `shutdown` request arrives, then drain the live
-    /// connections (idle ones get a clean EOF immediately; a connection
-    /// mid-`run` finishes streaming first), persist the cache (when
-    /// configured), release the listener (removing a `unix:` socket
-    /// file), and return the lifetime counters. The cache is persisted
-    /// even if the accept thread has to give up, so computed results
-    /// are never lost to a socket-level failure.
+    /// reactor on the calling thread — the listener and every live
+    /// connection share one `poll(2)` set, and a connection is a table
+    /// entry, not a thread — until a `shutdown` request arrives, then
+    /// stop accepting, drain the live connections (idle ones get a
+    /// clean EOF immediately; a connection mid-`run` finishes streaming
+    /// first), persist the cache (when configured), release the
+    /// listener (removing a `unix:` socket file), and return the
+    /// lifetime counters. After 64 consecutive failed accepts the
+    /// daemon drains the same way and returns the last accept error,
+    /// with the cache still persisted, so computed results are never
+    /// lost to a socket-level failure.
     pub fn serve(self) -> Result<ServiceSummary, ServiceError> {
-        let mut reactor: Reactor<T::Stream> = Reactor::new().map_err(|e| {
+        let setup = |context: &str, error| {
             self.listener.cleanup();
-            io_err("creating the reactor wakeup socket", e)
-        })?;
+            io_err(context, error)
+        };
+        let mut reactor: Reactor<T::Stream> =
+            Reactor::new().map_err(|e| setup("creating the reactor wakeup socket", e))?;
+        self.listener
+            .set_nonblocking(true)
+            .map_err(|e| setup("switching the listener to nonblocking mode", e))?;
+        reactor.watch_listener(Some(self.listener.as_raw_fd()));
         let wake = reactor.wake_handle();
-        let listener = &self.listener;
-        let shared = &self.shared;
-        // Two service threads, regardless of connection count: this
-        // caller becomes the dispatch loop, and one scoped thread runs
-        // the blocking accept. The accept thread hands streams to the
-        // reactor over its wakeup channel; the `shutdown` handler wakes
-        // the blocked accept by dialing the endpoint itself.
-        let give_up = std::thread::scope(|scope| {
-            let acceptor = scope.spawn(move || accept_loop::<T>(listener, shared, wake));
-            Dispatcher::<T> {
-                shared,
-                reactor: &mut reactor,
-                conns: HashMap::new(),
-                draining: false,
-            }
-            .run();
-            acceptor.join().unwrap_or(None)
-        });
-        self.persist_and_cleanup()?;
-        match give_up {
-            Some(error) => Err(error),
-            None => Ok(self.shared.summary()),
+        self.shared.engine.events().set_wake(move || wake.notify());
+        let served = Dispatcher::<T> {
+            shared: &self.shared,
+            listener: &self.listener,
+            reactor: &mut reactor,
+            conns: HashMap::new(),
+            counts: ServiceSummary::default(),
+            draining: false,
+            accept_failures: 0,
+            give_up: None,
         }
+        .run();
+        self.persist_and_cleanup()?;
+        served
     }
 
     /// Save the warm cache (when configured) and release the listener's
@@ -657,43 +561,14 @@ impl<T: Transport> CampaignService<T> {
     }
 }
 
-/// The accept thread's whole job: hand accepted streams to the reactor
-/// over its wakeup channel. Transient accept failures (EMFILE under fd
-/// pressure, say) are retried; only a persistent streak aborts the
-/// daemon — by flagging the drain and waking the dispatch loop, so the
-/// cache is still persisted.
-fn accept_loop<T: Transport>(
-    listener: &T::Listener,
-    shared: &ServiceShared,
-    wake: WakeHandle<T::Stream>,
-) -> Option<ServiceError> {
-    const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 64;
-    let mut accept_failures = 0u32;
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return None;
-        }
-        match listener.accept() {
-            Ok(stream) => {
-                accept_failures = 0;
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return None; // the drain's wake-up dial, not a client
-                }
-                wake.accepted(stream);
-            }
-            Err(error) => {
-                accept_failures += 1;
-                eprintln!("campaign service: accept error: {error}");
-                if accept_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
-                    shared.shutdown.store(true, Ordering::Relaxed);
-                    wake.shutdown();
-                    return Some(io_err("accepting connection (giving up)", error));
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-    }
-}
+/// How long the listener stays out of the poll set after a failed
+/// accept: a listener that stays readable while every accept fails
+/// (`EMFILE` under fd pressure, say) must not spin the dispatch loop.
+const ACCEPT_RETRY_DELAY: Duration = Duration::from_millis(20);
+
+/// Failed accepts in a row after which the daemon gives up: it drains,
+/// persists the cache, and `serve` returns the last accept error.
+const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 64;
 
 /// Protocol state of one reactor-registered connection.
 struct Conn {
@@ -712,7 +587,7 @@ enum ConnState {
     /// notify wakeups.
     Running(Box<RunState>),
     /// A `subscribe` stream; reads watch only for hangup, events arrive
-    /// via notify wakeups, heartbeats via the reactor timer.
+    /// via the event log's wake, heartbeats via the reactor timer.
     Subscribing(SubState),
 }
 
@@ -736,19 +611,30 @@ struct SubState {
     paused: bool,
 }
 
-/// The reactor dispatch loop: the daemon's single I/O thread. Owns the
-/// per-connection protocol state and interprets reactor events; the
-/// engine's worker threads only ever touch it through coalescing
-/// notify wakeups.
+/// The reactor dispatch loop: the daemon's single I/O thread. Accepts
+/// connections, owns the per-connection protocol state and interprets
+/// reactor events; the engine's worker threads only ever touch it
+/// through coalescing notify wakeups.
 struct Dispatcher<'a, T: Transport> {
     shared: &'a ServiceShared,
+    listener: &'a T::Listener,
     reactor: &'a mut Reactor<T::Stream>,
-    conns: HashMap<u64, Conn>,
+    conns: HashMap<Token, Conn>,
+    /// The loop's own lifetime counters (`connections`, `requests`,
+    /// `runs`, `units_streamed`); [`summary`](Dispatcher::summary)
+    /// fills in the rest.
+    counts: ServiceSummary,
     draining: bool,
+    accept_failures: u32,
+    /// The accept error that ended serving, if one did.
+    give_up: Option<ServiceError>,
 }
 
 impl<T: Transport> Dispatcher<'_, T> {
-    fn run(mut self) {
+    /// Dispatch until the drain has closed every connection; returns
+    /// the lifetime counters, or the accept error that forced the
+    /// drain.
+    fn run(mut self) -> Result<ServiceSummary, ServiceError> {
         loop {
             if self.draining && self.reactor.is_empty() {
                 // The registration table is empty, but the final close
@@ -762,59 +648,129 @@ impl<T: Transport> Dispatcher<'_, T> {
             }
             let event = self.reactor.poll();
             self.dispatch(event);
-            self.sync_reactor_counters();
         }
-        self.sync_reactor_counters();
+        match self.give_up.take() {
+            Some(error) => Err(error),
+            None => Ok(self.summary()),
+        }
     }
 
     fn dispatch(&mut self, event: Event) {
         match event {
-            Event::Accepted(token) => self.on_accepted(token),
+            Event::Acceptable => self.accept_pending(),
             Event::Line(token, line) => self.on_line(token, line),
-            Event::Notify(token) => self.on_notify(token),
+            // Only a running connection holds a per-connection notify.
+            Event::Notify(token) => self.pump_run(token),
+            // The event log advanced: feed every subscriber.
+            Event::Wake => {
+                let subscribers: Vec<Token> = self
+                    .conns
+                    .iter()
+                    .filter(|(_, conn)| matches!(conn.state, ConnState::Subscribing(_)))
+                    .map(|(&token, _)| token)
+                    .collect();
+                for token in subscribers {
+                    self.pump_events(token);
+                }
+            }
             Event::Timer(token) => self.on_timer(token),
             Event::Writable(token) => self.on_writable(token),
             Event::Closed(token, reason) => self.on_closed(token, reason),
-            Event::Rejected(reason) => {
-                eprintln!("campaign service: refusing connection: {reason}")
-            }
-            Event::Shutdown => self.begin_drain(false),
         }
     }
 
-    /// Mirror the reactor's counters into the shared atomics that
-    /// `stats`, `metrics`, and the final summary read.
-    fn sync_reactor_counters(&mut self) {
-        self.shared
-            .reactor_notify_wakeups
-            .store(self.reactor.notify_wakeups(), Ordering::Relaxed);
-        self.shared
-            .reactor_timer_wakeups
-            .store(self.reactor.timer_wakeups(), Ordering::Relaxed);
-        self.shared
-            .reactor_connections
-            .store(self.reactor.connections() as u64, Ordering::Relaxed);
+    /// Accept every pending connection. A failed accept is logged and
+    /// pauses the listener for [`ACCEPT_RETRY_DELAY`];
+    /// [`MAX_CONSECUTIVE_ACCEPT_FAILURES`] in a row give up and drain.
+    fn accept_pending(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok(stream) => {
+                    self.accept_failures = 0;
+                    match self.reactor.register(stream) {
+                        Ok(token) => self.on_accepted(token),
+                        Err(error) => eprintln!(
+                            "campaign service: refusing connection: cannot switch accepted \
+                             connection to nonblocking mode: {error}"
+                        ),
+                    }
+                }
+                Err(error) if error.kind() == ErrorKind::WouldBlock => return,
+                Err(error) => {
+                    self.accept_failures += 1;
+                    eprintln!("campaign service: accept error: {error}");
+                    if self.accept_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
+                        self.give_up = Some(io_err("accepting connection (giving up)", error));
+                        self.begin_drain();
+                    } else {
+                        self.reactor.pause_listener(ACCEPT_RETRY_DELAY);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    fn summary(&self) -> ServiceSummary {
+        let engine = self.shared.engine.stats();
+        ServiceSummary {
+            active_connections: self.conns.len() as u64,
+            units_computed: engine.units_computed,
+            unit_cache_hits: engine.cache_hits,
+            coalesced_joins: engine.coalesced_joins,
+            units_submitted: engine.units_submitted,
+            units_failed: engine.units_failed,
+            units_cancelled: engine.units_cancelled,
+            deadline_expired: engine.deadline_expired,
+            submissions_rejected: engine.submissions_rejected,
+            events_dropped: engine.events_dropped,
+            reactor_notify_wakeups: self.reactor.notify_wakeups(),
+            reactor_timer_wakeups: self.reactor.timer_wakeups(),
+            ..self.counts
+        }
+    }
+
+    fn gauges(&self) -> ServiceGauges {
+        let engine = &self.shared.engine;
+        let depths = engine.queue_depths();
+        ServiceGauges {
+            queue_depth: depths.iter().sum::<usize>() as u64,
+            queue_high: depths[0] as u64,
+            queue_normal: depths[1] as u64,
+            queue_batch: depths[2] as u64,
+            units_inflight: engine.inflight() as u64,
+            event_subscribers: engine.event_subscribers() as u64,
+            workers_alive: engine.alive_workers() as u64,
+            reactor_registered_connections: self.reactor.connections() as u64,
+        }
+    }
+
+    /// One snapshot for a `stats` body.
+    fn stats(&self) -> ServiceStats {
+        ServiceStats {
+            cache: self.shared.cache.stats(),
+            model_digest: self.shared.cache.model_digest().to_string(),
+            summary: self.summary(),
+            gauges: self.gauges(),
+        }
     }
 
     fn on_accepted(&mut self, token: Token) {
-        self.shared.connections.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .active_connections
-            .fetch_add(1, Ordering::Relaxed);
+        self.counts.connections += 1;
         self.shared
             .engine
             .events()
             .publish(&CampaignEvent::new(EventKind::ConnectionOpened).with_connection(token.id()));
         self.conns.insert(
-            token.id(),
+            token,
             Conn {
                 state: ConnState::Command,
                 deferred: VecDeque::new(),
             },
         );
         if self.draining {
-            // Raced past the shutdown flag in the accept thread:
-            // counted, then drained immediately with a clean EOF.
+            // Accepted in the turn that began the drain: counted, then
+            // drained immediately with a clean EOF.
             self.reactor.close_after_flush(token);
         }
     }
@@ -830,10 +786,7 @@ impl<T: Transport> Dispatcher<'_, T> {
         // from stack unwinding: a mid-run subscription cancels whatever
         // of the run nobody else wants, the token guard deregisters,
         // a subscriber's event stream unregisters.
-        if self.conns.remove(&token.id()).is_some() {
-            self.shared
-                .active_connections
-                .fetch_sub(1, Ordering::Relaxed);
+        if self.conns.remove(&token).is_some() {
             self.shared.engine.events().publish(
                 &CampaignEvent::new(EventKind::ConnectionClosed).with_connection(token.id()),
             );
@@ -842,7 +795,7 @@ impl<T: Transport> Dispatcher<'_, T> {
 
     fn on_line(&mut self, token: Token, line: String) {
         let line = {
-            let Some(conn) = self.conns.get_mut(&token.id()) else {
+            let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
             match &conn.state {
@@ -860,26 +813,12 @@ impl<T: Transport> Dispatcher<'_, T> {
         self.handle_command_line(token, line);
     }
 
-    fn on_notify(&mut self, token: Token) {
-        let running = {
-            let Some(conn) = self.conns.get(&token.id()) else {
-                return;
-            };
-            matches!(conn.state, ConnState::Running(_))
-        };
-        if running {
-            self.pump_run(token);
-        } else {
-            self.pump_events(token);
-        }
-    }
-
     fn on_timer(&mut self, token: Token) {
         // The only armed timer is the subscribe heartbeat — both a
         // liveness signal for the watcher and how the daemon notices a
         // vanished client promptly (the heartbeat write fails).
         let line = {
-            let Some(conn) = self.conns.get(&token.id()) else {
+            let Some(conn) = self.conns.get(&token) else {
                 return;
             };
             let ConnState::Subscribing(sub) = &conn.state else {
@@ -897,7 +836,7 @@ impl<T: Transport> Dispatcher<'_, T> {
 
     fn on_writable(&mut self, token: Token) {
         let resumed = {
-            let Some(conn) = self.conns.get_mut(&token.id()) else {
+            let Some(conn) = self.conns.get_mut(&token) else {
                 return;
             };
             match &mut conn.state {
@@ -933,24 +872,34 @@ impl<T: Transport> Dispatcher<'_, T> {
                 return;
             }
         };
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+        self.counts.requests += 1;
+        let shared = self.shared;
         match request.method.as_str() {
             "ping" => self.respond(token, &Response::ok(request.id, "pong")),
             "stats" => {
-                self.sync_reactor_counters();
-                let body = stats_body(self.shared.stats());
+                let body = stats_body(self.stats());
                 self.respond(token, &Response::ok(request.id, "stats").with_body(body));
             }
             "metrics" => {
-                self.sync_reactor_counters();
-                let text = metrics_text(self.shared.scrape());
+                let text = metrics_text(Scrape {
+                    stats: self.stats(),
+                    workers_configured: shared.engine.workers() as u64,
+                    latencies: shared.engine.latency_snapshots(),
+                });
                 self.respond(
                     token,
                     &Response::ok(request.id, "metrics").with_body(JsonValue::String(text)),
                 );
             }
             "health" => {
-                let body = self.shared.health().to_body();
+                let body = HealthReport::of(
+                    self.draining,
+                    shared.engine.alive_workers(),
+                    shared.engine.workers(),
+                    shared.cache.stats().entries,
+                    &shared.local,
+                )
+                .to_body();
                 self.respond(token, &Response::ok(request.id, "health").with_body(body));
             }
             "subscribe" => self.handle_subscribe(token, &request),
@@ -958,7 +907,7 @@ impl<T: Transport> Dispatcher<'_, T> {
             "cancel" => self.handle_cancel(token, &request),
             "shutdown" => {
                 self.respond(token, &Response::ok(request.id, "bye"));
-                self.begin_drain(true);
+                self.begin_drain();
             }
             other => self.respond(
                 token,
@@ -1071,7 +1020,7 @@ impl<T: Transport> Dispatcher<'_, T> {
             assembly: Assembly::new(plan, subscription, started),
             _guard: guard,
         };
-        let Some(conn) = self.conns.get_mut(&token.id()) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return; // dropping `run` cancels the fresh subscription
         };
         conn.state = ConnState::Running(Box::new(run));
@@ -1089,7 +1038,7 @@ impl<T: Transport> Dispatcher<'_, T> {
     fn pump_run(&mut self, token: Token) {
         loop {
             let line = {
-                let Some(conn) = self.conns.get_mut(&token.id()) else {
+                let Some(conn) = self.conns.get_mut(&token) else {
                     return;
                 };
                 let ConnState::Running(run) = &mut conn.state else {
@@ -1103,7 +1052,7 @@ impl<T: Transport> Dispatcher<'_, T> {
                 }
             };
             self.reactor.enqueue_write(token, line.as_bytes());
-            self.shared.units_streamed.fetch_add(1, Ordering::Relaxed);
+            self.counts.units_streamed += 1;
             if !self.reactor.is_registered(token) {
                 // The write failed (client vanished): its Closed event
                 // is queued, and dropping the run state there cancels
@@ -1118,7 +1067,7 @@ impl<T: Transport> Dispatcher<'_, T> {
     /// back to the command state — or into the drain, if one began
     /// while the run was streaming.
     fn finish_run(&mut self, token: Token) {
-        let Some(conn) = self.conns.get_mut(&token.id()) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let state = std::mem::replace(&mut conn.state, ConnState::Command);
@@ -1141,7 +1090,7 @@ impl<T: Transport> Dispatcher<'_, T> {
         // with this scope: the threaded handler's end-of-run.
         let response = match assembly.finish(self.shared.engine.workers(), &self.shared.cache) {
             Ok(report) => {
-                self.shared.runs.fetch_add(1, Ordering::Relaxed);
+                self.counts.runs += 1;
                 Response::ok(id, "done")
                     .with_body(done_body(&report, self.shared.cache.model_digest()))
             }
@@ -1159,7 +1108,7 @@ impl<T: Transport> Dispatcher<'_, T> {
     fn after_command(&mut self, token: Token) {
         loop {
             let line = {
-                let Some(conn) = self.conns.get_mut(&token.id()) else {
+                let Some(conn) = self.conns.get_mut(&token) else {
                     return;
                 };
                 if !matches!(conn.state, ConnState::Command) {
@@ -1230,24 +1179,17 @@ impl<T: Transport> Dispatcher<'_, T> {
 
     /// Serve one `subscribe` request: acknowledge, then dedicate the
     /// connection to the event stream — reads switch to hangup-only
-    /// watching, events are written from notify wakeups, and the idle
+    /// watching, events are written from the event log's wakes, and the idle
     /// heartbeat rides the reactor timer. A parked subscriber costs a
     /// table entry, not a thread, which is what lets one daemon hold
     /// thousands of them.
     fn handle_subscribe(&mut self, token: Token, request: &Request) {
-        let Some(notify) = self.reactor.notify_handle(token) else {
-            return;
-        };
-        let events = self
-            .shared
-            .engine
-            .events()
-            .subscribe(move || notify.notify());
+        let events = self.shared.engine.events().subscribe();
         self.respond(token, &Response::ok(request.id, "subscribed"));
         if !self.reactor.is_registered(token) {
             return; // the ack write failed; the stream unregisters here
         }
-        let Some(conn) = self.conns.get_mut(&token.id()) else {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         conn.state = ConnState::Subscribing(SubState {
@@ -1267,7 +1209,7 @@ impl<T: Transport> Dispatcher<'_, T> {
     fn pump_events(&mut self, token: Token) {
         loop {
             let line = {
-                let Some(conn) = self.conns.get_mut(&token.id()) else {
+                let Some(conn) = self.conns.get_mut(&token) else {
                     return;
                 };
                 let ConnState::Subscribing(sub) = &mut conn.state else {
@@ -1295,39 +1237,23 @@ impl<T: Transport> Dispatcher<'_, T> {
         }
     }
 
-    /// Begin the shutdown drain (idempotent): flag it, wake the accept
-    /// thread (when the trigger was a `shutdown` request — an accept
-    /// give-up arrives with the thread already gone), half-close every
-    /// read side, and close every connection that is not mid-`run` once
-    /// its queued output flushes — the clean EOF idle clients and
-    /// subscribers are promised. Mid-`run` connections finish streaming
-    /// first and join the drain from `after_command`.
-    fn begin_drain(&mut self, dial: bool) {
+    /// Begin the shutdown drain (idempotent): flag it, stop watching the
+    /// listener, half-close every read side, and close every connection
+    /// that is not mid-`run` once its queued output flushes — the clean
+    /// EOF idle clients and subscribers are promised. Mid-`run`
+    /// connections finish streaming first and join the drain from
+    /// `after_command`.
+    fn begin_drain(&mut self) {
         if self.draining {
             return;
         }
         self.draining = true;
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        if dial {
-            // The accept thread is parked in a blocking accept; dial
-            // the self-dialable endpoint so it wakes, sees the flag,
-            // and exits. If the dial fails (a host that cannot reach
-            // even its own loopback), say so loudly: the accept thread
-            // — and so the daemon — will not exit until the next real
-            // connection arrives.
-            if let Err(error) = T::connect(&self.shared.dial) {
-                eprintln!(
-                    "campaign service: shutdown wake-up dial to {} failed ({error}); \
-                     the daemon drains on the next incoming connection",
-                    self.shared.dial,
-                );
-            }
-        }
+        self.reactor.watch_listener(None);
         self.reactor.shutdown_reads();
         for token in self.reactor.tokens() {
             let mid_run = self
                 .conns
-                .get(&token.id())
+                .get(&token)
                 .is_some_and(|conn| matches!(conn.state, ConnState::Running(_)));
             if !mid_run {
                 self.reactor.close_after_flush(token);
@@ -1548,14 +1474,14 @@ const COUNTERS: &[Row] = &[
     ),
     Row::counter(
         ("oranges_reactor_wakeups_total", &[("kind", "notify")]),
-        "Reactor wakeups dispatched, by kind.",
+        "Reactor wakeups dispatched, by kind (notify includes event-log publishes).",
         Stats("reactor_notify_wakeups", |s| {
             &mut s.summary.reactor_notify_wakeups
         }),
     ),
     Row::counter(
         ("oranges_reactor_wakeups_total", &[("kind", "timer")]),
-        "Reactor wakeups dispatched, by kind.",
+        "Reactor wakeups dispatched, by kind (notify includes event-log publishes).",
         Stats("reactor_timer_wakeups", |s| {
             &mut s.summary.reactor_timer_wakeups
         }),

@@ -27,7 +27,7 @@ use crate::json::{self, JsonValue};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 // ---------------------------------------------------------------------------
@@ -589,20 +589,15 @@ impl CampaignEvent {
 /// in [`EventBroadcaster::events_dropped`]).
 pub const EVENT_LOG_CAPACITY: usize = 1024;
 
-/// One subscriber's read position in the shared log.
-struct Cursor {
-    /// Sequence number of the next event this subscriber will read.
-    next: u64,
-    notify: Box<dyn Fn() + Send + Sync>,
-}
-
 #[derive(Default)]
 struct Log {
     /// The last [`EVENT_LOG_CAPACITY`] events, oldest first.
     events: VecDeque<Arc<CampaignEvent>>,
     /// Sequence number of `events[0]`.
     first: u64,
-    subscribers: HashMap<u64, Cursor>,
+    /// Each subscriber's cursor: the sequence number of the next event
+    /// it will read.
+    subscribers: HashMap<u64, u64>,
     next_id: u64,
     dropped: u64,
 }
@@ -623,10 +618,16 @@ fn lock(log: &Mutex<Log>) -> MutexGuard<'_, Log> {
 /// [`EventStream`] unregisters itself; with no subscribers left the
 /// log is cleared and publishing stores nothing.
 ///
-/// Cloning the broadcaster is cheap and shares the log.
+/// A readiness-driven consumer (the service reactor) installs one wake
+/// hook ([`set_wake`](EventBroadcaster::set_wake)) instead of polling
+/// [`try_recv`](EventStream::try_recv): each publish that reaches a
+/// subscriber calls it once, however many subscribers there are.
+///
+/// Cloning the broadcaster is cheap and shares the log and the hook.
 #[derive(Clone, Default)]
 pub struct EventBroadcaster {
     log: Arc<Mutex<Log>>,
+    wake: Arc<OnceLock<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl EventBroadcaster {
@@ -635,20 +636,21 @@ impl EventBroadcaster {
         EventBroadcaster::default()
     }
 
+    /// Install the wake hook: after this, every publish that reaches
+    /// at least one subscriber calls `wake` once, outside the log lock.
+    /// The first hook installed stays; later calls are ignored.
+    pub fn set_wake(&self, wake: impl Fn() + Send + Sync + 'static) {
+        self.wake.get_or_init(|| Box::new(wake));
+    }
+
     /// Register a subscriber that reads events published from now on.
-    /// `notify` runs after every publish — the hook a readiness-driven
-    /// consumer (the service reactor) installs so it is woken instead
-    /// of polling [`try_recv`](EventStream::try_recv).
-    pub fn subscribe(&self, notify: impl Fn() + Send + Sync + 'static) -> EventStream {
+    pub fn subscribe(&self) -> EventStream {
         let mut guard = lock(&self.log);
         let log = &mut *guard;
         let id = log.next_id;
         log.next_id += 1;
-        let cursor = Cursor {
-            next: log.first + log.events.len() as u64,
-            notify: Box::new(notify),
-        };
-        log.subscribers.insert(id, cursor);
+        let next = log.first + log.events.len() as u64;
+        log.subscribers.insert(id, next);
         EventStream {
             id,
             log: Arc::clone(&self.log),
@@ -657,7 +659,8 @@ impl EventBroadcaster {
 
     /// Append `event` to the log without blocking, evicting (and
     /// counting as dropped for whoever had not read it) the oldest
-    /// event when the log is full. With no subscribers this is a no-op.
+    /// event when the log is full, then call the wake hook once. With
+    /// no subscribers this is a no-op.
     pub fn publish(&self, event: &CampaignEvent) {
         let mut guard = lock(&self.log);
         let log = &mut *guard;
@@ -668,16 +671,17 @@ impl EventBroadcaster {
             log.events.pop_front();
             let evicted = log.first;
             log.first += 1;
-            for cursor in log.subscribers.values_mut() {
-                if cursor.next == evicted {
-                    cursor.next += 1;
+            for next in log.subscribers.values_mut() {
+                if *next == evicted {
+                    *next += 1;
                     log.dropped += 1;
                 }
             }
         }
         log.events.push_back(Arc::new(event.clone()));
-        for cursor in log.subscribers.values() {
-            (cursor.notify)();
+        drop(guard);
+        if let Some(wake) = self.wake.get() {
+            wake();
         }
     }
 
@@ -715,9 +719,9 @@ impl EventStream {
     pub fn try_recv(&self) -> Option<Arc<CampaignEvent>> {
         let mut guard = lock(&self.log);
         let log = &mut *guard;
-        let cursor = log.subscribers.get_mut(&self.id)?;
-        let event = log.events.get((cursor.next - log.first) as usize)?;
-        cursor.next += 1;
+        let next = log.subscribers.get_mut(&self.id)?;
+        let event = log.events.get((*next - log.first) as usize)?;
+        *next += 1;
         Some(Arc::clone(event))
     }
 }
@@ -864,8 +868,8 @@ mod tests {
     #[test]
     fn broadcast_reaches_every_subscriber() {
         let bus = EventBroadcaster::new();
-        let a = bus.subscribe(|| {});
-        let b = bus.subscribe(|| {});
+        let a = bus.subscribe();
+        let b = bus.subscribe();
         assert_eq!(bus.subscriber_count(), 2);
         bus.publish(&CampaignEvent::new(EventKind::CachePersisted));
         assert_eq!(unread(&a), 1);
@@ -882,7 +886,7 @@ mod tests {
     #[test]
     fn slow_subscriber_drops_events_and_never_blocks_the_publisher() {
         let bus = EventBroadcaster::new();
-        let slow = bus.subscribe(|| {}); // never read
+        let slow = bus.subscribe(); // never read
         let started = Instant::now();
         for _ in 0..EVENT_LOG_CAPACITY + 99 {
             bus.publish(&CampaignEvent::new(EventKind::Heartbeat));
@@ -892,7 +896,7 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(1));
         assert_eq!(bus.events_dropped(), 99);
         // A subscriber joining late sees only events published after it.
-        let late = bus.subscribe(|| {});
+        let late = bus.subscribe();
         assert_eq!(unread(&late), 0);
         assert_eq!(unread(&slow), EVENT_LOG_CAPACITY);
         bus.publish(&CampaignEvent::new(EventKind::CachePersisted));
@@ -907,13 +911,20 @@ mod tests {
         let bus = EventBroadcaster::new();
         let wakeups = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&wakeups);
-        let stream = bus.subscribe(move || {
+        bus.set_wake(move || {
             counter.fetch_add(1, Ordering::Relaxed);
         });
+        // No subscriber, no wake.
+        bus.publish(&CampaignEvent::new(EventKind::Heartbeat));
+        assert_eq!(wakeups.load(Ordering::Relaxed), 0);
+        // One wake per publish, however many subscribers read it.
+        let stream = bus.subscribe();
+        let others: Vec<EventStream> = (0..99).map(|_| bus.subscribe()).collect();
         for kind in [EventKind::UnitStarted, EventKind::UnitCompleted] {
             bus.publish(&CampaignEvent::new(kind));
         }
         assert_eq!(wakeups.load(Ordering::Relaxed), 2);
+        assert!(others.iter().all(|other| unread(other) == 2));
         assert_eq!(
             stream.try_recv().map(|e| e.kind),
             Some(EventKind::UnitStarted)

@@ -14,40 +14,47 @@
 //!   segmentation), a [`WriteQueue`] (short-write- and
 //!   `WouldBlock`-tolerant output), a read-interest mode, and an
 //!   optional timer.
-//! - **Wakeup socket** — other threads post payloads on a channel and
-//!   then write one byte to a socket pair whose read end is in every
-//!   poll set: the accept thread posts new connections, engine
-//!   completions post coalesced [`NotifyHandle`] wakes, and shutdown
-//!   posts a drain signal.
+//! - **Listener** — the owner's listening socket, watched for pending
+//!   connections ([`Event::Acceptable`]). The owner accepts them and
+//!   [`register`](Reactor::register)s each; after a failed accept it
+//!   can leave the listener out of the set for a back-off
+//!   ([`Reactor::pause_listener`]).
+//! - **Wakeup socket** — other threads post coalesced [`NotifyHandle`]
+//!   wakes on a channel and then write one byte to a socket pair whose
+//!   read end is in every poll set: engine completions wake one
+//!   connection ([`Event::Notify`]), and the owner's own handle wakes
+//!   the reactor as a whole ([`Event::Wake`]).
 //! - **Level-triggered dispatch** — [`Reactor::poll`] returns one
 //!   [`Event`] at a time; readiness that has not been consumed
 //!   (buffered complete lines, queued notifies) is re-reported until
 //!   the owner acts on it.
 //!
-//! The poll set is the wakeup socket plus each connection that wants
-//! something: READABLE while its peer has not hung up and its interest
-//! is not [`ReadInterest::Paused`], WRITABLE while its write queue is
+//! The poll set is the wakeup socket, the listener while it is watched
+//! and not paused, and each connection that wants something: READABLE
+//! while its peer has not hung up and its interest is not
+//! [`ReadInterest::Paused`], WRITABLE while its write queue is
 //! non-empty. A connection that wants neither stays out of the set,
 //! because `poll` reports hangups and errors without being asked, and a
 //! paused, drained connection whose peer reset would otherwise wake
-//! every turn. The wait lasts until the earliest timer or the caller's
-//! cap, and only connections `poll` reported ready are serviced, so an
-//! idle table costs nothing.
+//! every turn. The wait lasts until the earliest timer, the paused
+//! listener's resume or the caller's cap, and only connections `poll`
+//! reported ready are serviced, so an idle table costs nothing.
 //!
 //! What belongs to the reactor vs. its owner:
 //!
 //! - the reactor frames lines, flushes queued writes, detects EOF and
-//!   I/O errors, fires timers, and forwards wakes;
-//! - the owner (the campaign service) interprets lines, decides read
-//!   interest per connection state, enqueues responses, and removes
-//!   connections when the protocol says so.
+//!   I/O errors, fires timers, and forwards wakes and listener
+//!   readiness;
+//! - the owner (the campaign service) accepts connections, interprets
+//!   lines, decides read interest per connection state, enqueues
+//!   responses, and removes connections when the protocol says so.
 
 use crate::transport::Stream;
 use oranges_poll::{PollFd, POLLIN, POLLOUT};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -95,8 +102,10 @@ pub enum ReadInterest {
 /// One readiness occurrence, returned by [`Reactor::poll`].
 #[derive(Debug)]
 pub enum Event {
-    /// A new connection was registered from the wakeup channel.
-    Accepted(Token),
+    /// The watched listener has a connection pending (see
+    /// [`Reactor::watch_listener`]). Level-triggered: reported again
+    /// each turn until the owner has accepted every pending connection.
+    Acceptable,
     /// A complete newline-framed line arrived (terminator stripped).
     Line(Token, String),
     /// The connection left the table. `None` is a clean close (peer
@@ -109,96 +118,46 @@ pub enum Event {
     /// *before* this event is returned, so a source that fires during
     /// handling produces a fresh event rather than being lost.
     Notify(Token),
+    /// The reactor-wide [`NotifyHandle`] ([`Reactor::wake_handle`])
+    /// fired since the last time this event was reported; re-armed the
+    /// same way as [`Event::Notify`].
+    Wake,
     /// The connection's timer (see [`Reactor::set_timer`]) expired.
     Timer(Token),
     /// A write queue that had been above the backpressure threshold
     /// drained back to empty — whatever was paused on it may resume.
     Writable(Token),
-    /// A connection posted through the wakeup channel could not be
-    /// registered (its switch to nonblocking mode failed). It was
-    /// dropped without ever appearing in the table.
-    Rejected(String),
-    /// The shutdown wake was posted; the owner should begin its drain.
-    Shutdown,
 }
 
-enum Wake<S> {
-    NewConn(S),
-    Notify(Token),
-    Shutdown,
-}
-
-/// A clonable handle for posting wakes into the reactor from other
-/// threads — the accept loop's and shutdown path's end of the wakeup
-/// socket.
-pub struct WakeHandle<S> {
-    tx: Sender<Wake<S>>,
+/// A coalescing wake hook, bound to one registered connection
+/// ([`Event::Notify`]) or to the reactor as a whole ([`Event::Wake`]).
+///
+/// `notify()` is cheap and idempotent-until-consumed: the first call
+/// after the reactor last reported the event posts one wake; further
+/// calls before the reactor re-arms the flag are free. This is what the
+/// service installs as the engine's unit-completion hook and as the
+/// event log's publish hook — a worker thread finishing a unit or
+/// publishing an event costs one atomic swap and at most one wakeup
+/// post, never a syscall against a connection.
+#[derive(Clone, Debug)]
+pub struct NotifyHandle {
+    pending: Arc<AtomicBool>,
+    /// The connection to wake, or `None` for the reactor as a whole.
+    token: Option<Token>,
+    tx: Sender<Option<Token>>,
     signal: Arc<UnixStream>,
 }
 
-impl<S> Clone for WakeHandle<S> {
-    fn clone(&self) -> Self {
-        WakeHandle {
-            tx: self.tx.clone(),
-            signal: Arc::clone(&self.signal),
-        }
-    }
-}
-
-impl<S> WakeHandle<S> {
-    /// Send the payload, then wake the reactor's wait. The byte goes
-    /// after the payload, so a reactor that empties the socket and then
-    /// drains the channel never misses a payload. `WouldBlock` means
-    /// unread bytes are already waiting, which is wake enough.
-    fn post(&self, wake: Wake<S>) {
-        if self.tx.send(wake).is_ok() {
-            (&*self.signal).write_all(&[1]).ok();
-        }
-    }
-}
-
-impl<S: Stream> WakeHandle<S> {
-    /// Hand a freshly accepted connection to the reactor. The reactor
-    /// takes ownership, switches it to nonblocking mode, and reports
-    /// it as [`Event::Accepted`].
-    pub fn accepted(&self, stream: S) {
-        self.post(Wake::NewConn(stream));
-    }
-
-    /// Post the shutdown wake ([`Event::Shutdown`]).
-    pub fn shutdown(&self) {
-        self.post(Wake::Shutdown);
-    }
-}
-
-/// A coalescing completion-notify hook bound to one registered
-/// connection.
-///
-/// `notify()` is cheap and idempotent-until-consumed: the first call
-/// after the reactor last reported [`Event::Notify`] posts one wake;
-/// further calls before the reactor re-arms the flag are free. This is
-/// what the service installs as the engine's unit-completion hook — a
-/// worker thread finishing a unit costs one atomic swap and at most
-/// one wakeup post, never a syscall against the connection.
-pub struct NotifyHandle {
-    pending: Arc<AtomicBool>,
-    send: Arc<dyn Fn() + Send + Sync>,
-}
-
-impl Clone for NotifyHandle {
-    fn clone(&self) -> Self {
-        NotifyHandle {
-            pending: Arc::clone(&self.pending),
-            send: Arc::clone(&self.send),
-        }
-    }
-}
-
 impl NotifyHandle {
-    /// Request an [`Event::Notify`] for the bound connection.
+    /// Request the bound event: post the token on the channel, then
+    /// write one byte to the wakeup socket. The byte goes after the
+    /// payload, so a reactor that empties the socket and then drains
+    /// the channel never misses a payload. `WouldBlock` means unread
+    /// bytes are already waiting, which is wake enough; a dropped
+    /// reactor gets no byte.
     pub fn notify(&self) {
-        if !self.pending.swap(true, Ordering::AcqRel) {
-            (self.send)();
+        if !self.pending.swap(true, Ordering::AcqRel) && self.tx.send(self.token).is_ok() {
+            (&*self.signal).write_all(&[1]).ok();
         }
     }
 
@@ -206,14 +165,6 @@ impl NotifyHandle {
     pub fn callback(&self) -> Arc<dyn Fn() + Send + Sync> {
         let handle = self.clone();
         Arc::new(move || handle.notify())
-    }
-}
-
-impl std::fmt::Debug for NotifyHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NotifyHandle")
-            .field("pending", &self.pending.load(Ordering::Relaxed))
-            .finish()
     }
 }
 
@@ -388,13 +339,17 @@ struct Registration<S> {
 }
 
 /// The event loop: a registration table of owned nonblocking streams,
-/// a wakeup socket, timers, and a level-triggered [`poll`].
+/// a watched listener, a wakeup socket, timers, and a level-triggered
+/// [`poll`].
 ///
 /// [`poll`]: Reactor::poll
 pub struct Reactor<S: Stream> {
-    rx: Receiver<Wake<S>>,
+    rx: Receiver<Option<Token>>,
     signal: UnixStream,
-    wake: WakeHandle<S>,
+    /// The reactor-wide hook; per-connection hooks are copies of it.
+    wake: NotifyHandle,
+    /// The watched listener and the instant it rejoins the poll set.
+    listener: Option<(RawFd, Instant)>,
     table: HashMap<u64, Registration<S>>,
     next_token: u64,
     timers: BinaryHeap<Reverse<(Instant, u64, u64)>>,
@@ -415,10 +370,13 @@ impl<S: Stream> Reactor<S> {
         Ok(Reactor {
             rx,
             signal,
-            wake: WakeHandle {
+            wake: NotifyHandle {
+                pending: Arc::new(AtomicBool::new(false)),
+                token: None,
                 tx,
                 signal: Arc::new(signal_tx),
             },
+            listener: None,
             table: HashMap::new(),
             next_token: 0,
             timers: BinaryHeap::new(),
@@ -429,8 +387,10 @@ impl<S: Stream> Reactor<S> {
         })
     }
 
-    /// A handle other threads use to post wakes.
-    pub fn wake_handle(&self) -> WakeHandle<S> {
+    /// The reactor-wide coalescing hook: firing it from any thread
+    /// makes [`Reactor::poll`] report [`Event::Wake`]; fires are
+    /// coalesced until that report happens.
+    pub fn wake_handle(&self) -> NotifyHandle {
         self.wake.clone()
     }
 
@@ -439,17 +399,33 @@ impl<S: Stream> Reactor<S> {
     /// connection; fires are coalesced until that report happens.
     pub fn notify_handle(&self, token: Token) -> Option<NotifyHandle> {
         let registration = self.table.get(&token.0)?;
-        let pending = Arc::clone(&registration.notify_pending);
-        let wake = self.wake.clone();
         Some(NotifyHandle {
-            pending,
-            send: Arc::new(move || wake.post(Wake::Notify(token))),
+            pending: Arc::clone(&registration.notify_pending),
+            token: Some(token),
+            ..self.wake.clone()
         })
     }
 
-    /// Directly register a stream (the in-thread form of
-    /// [`WakeHandle::accepted`]); returns its token, or the underlying
-    /// error if the stream refused nonblocking mode.
+    /// Watch a listening socket, switched to nonblocking mode by its
+    /// owner: while watched, [`Reactor::poll`] reports
+    /// [`Event::Acceptable`] whenever a connection is pending. `None`
+    /// stops watching. The reactor never accepts or closes it.
+    pub fn watch_listener(&mut self, listener: Option<RawFd>) {
+        self.listener = listener.map(|fd| (fd, Instant::now()));
+    }
+
+    /// Leave the watched listener out of the poll set for `delay` — the
+    /// back-off after a failed accept, so a listener that stays
+    /// readable while every accept fails (`EMFILE`, say) cannot spin a
+    /// level-triggered wait.
+    pub fn pause_listener(&mut self, delay: Duration) {
+        if let Some((_, resume)) = &mut self.listener {
+            *resume = Instant::now() + delay;
+        }
+    }
+
+    /// Register a stream (an accepted connection); returns its token,
+    /// or the underlying error if the stream refused nonblocking mode.
     pub fn register(&mut self, stream: S) -> io::Result<Token> {
         stream.set_nonblocking(true)?;
         let token = Token(self.next_token);
@@ -506,7 +482,8 @@ impl<S: Stream> Reactor<S> {
         }
     }
 
-    /// Total notify wakes delivered as [`Event::Notify`].
+    /// Total notify wakes delivered as [`Event::Notify`] or
+    /// [`Event::Wake`].
     pub fn notify_wakeups(&self) -> u64 {
         self.notify_wakeups
     }
@@ -670,9 +647,10 @@ impl<S: Stream> Reactor<S> {
     }
 
     /// One scheduling turn: fire due timers, then wait in `poll(2)` on
-    /// the wakeup socket and every connection that wants something,
-    /// until the earliest timer or `cap` (forever if neither), and
-    /// service only what was reported ready.
+    /// the wakeup socket, the listener unless it is paused, and every
+    /// connection that wants something, until the earliest timer, the
+    /// listener's resume or `cap` (forever if none), and service only
+    /// what was reported ready.
     fn turn_until(&mut self, cap: Option<Instant>) {
         let now = Instant::now();
         self.fire_due_timers(now);
@@ -680,12 +658,19 @@ impl<S: Stream> Reactor<S> {
             return;
         }
         let timer = self.timers.peek().map(|Reverse((at, _, _))| *at);
-        let deadline = cap.into_iter().chain(timer).min();
+        let (listener, resume) = match self.listener {
+            Some((fd, resume)) if resume <= now => (Some(fd), None),
+            Some((_, resume)) => (None, Some(resume)),
+            None => (None, None),
+        };
+        let deadline = cap.into_iter().chain(timer).chain(resume).min();
         let timeout = deadline.map(|at| at.saturating_duration_since(now));
 
         let mut ids = Vec::with_capacity(self.table.len());
-        let mut set = Vec::with_capacity(self.table.len() + 1);
+        let mut set = Vec::with_capacity(self.table.len() + 2);
         set.push(PollFd::new(self.signal.as_raw_fd(), POLLIN));
+        set.extend(listener.map(|fd| PollFd::new(fd, POLLIN)));
+        let first = set.len();
         for (&id, registration) in &self.table {
             let mut events = 0;
             if !registration.peer_eof && registration.interest != ReadInterest::Paused {
@@ -703,10 +688,13 @@ impl<S: Stream> Reactor<S> {
         if oranges_poll::wait(&mut set, timeout).unwrap_or(0) == 0 {
             return;
         }
-        for (entry, &id) in set[1..].iter().zip(&ids) {
+        for (entry, &id) in set[first..].iter().zip(&ids) {
             if entry.revents() != 0 {
                 self.service_connection(Token(id));
             }
+        }
+        if first > 1 && set[1].revents() != 0 {
+            self.pending.push_back(Event::Acceptable);
         }
         if set[0].revents() != 0 {
             // Empty the socket before draining the channel: a payload
@@ -719,26 +707,21 @@ impl<S: Stream> Reactor<S> {
         }
     }
 
-    fn process_wake(&mut self, wake: Wake<S>) {
-        match wake {
-            Wake::NewConn(stream) => match self.register(stream) {
-                Ok(token) => self.pending.push_back(Event::Accepted(token)),
-                Err(error) => self.pending.push_back(Event::Rejected(format!(
-                    "cannot switch accepted connection to nonblocking mode: {error}"
-                ))),
+    fn process_wake(&mut self, wake: Option<Token>) {
+        let pending = match wake {
+            Some(token) => match self.table.get(&token.0) {
+                Some(registration) => &registration.notify_pending,
+                None => return,
             },
-            Wake::Notify(token) => {
-                if let Some(registration) = self.table.get(&token.0) {
-                    // Re-arm before reporting: a notify that fires
-                    // while the owner handles this event posts a fresh
-                    // wake instead of being swallowed.
-                    registration.notify_pending.store(false, Ordering::Release);
-                    self.notify_wakeups += 1;
-                    self.pending.push_back(Event::Notify(token));
-                }
-            }
-            Wake::Shutdown => self.pending.push_back(Event::Shutdown),
-        }
+            None => &self.wake.pending,
+        };
+        // Re-arm before reporting: a notify that fires while the owner
+        // handles this event posts a fresh wake instead of being
+        // swallowed.
+        pending.store(false, Ordering::Release);
+        self.notify_wakeups += 1;
+        self.pending
+            .push_back(wake.map_or(Event::Wake, Event::Notify));
     }
 
     fn fire_due_timers(&mut self, now: Instant) {
@@ -1056,7 +1039,7 @@ mod tests {
                     assert_eq!(t, token);
                     break line;
                 }
-                Event::Accepted(_) | Event::Writable(_) => continue,
+                Event::Writable(_) => continue,
                 other => panic!("unexpected event {other:?}"),
             }
         };
@@ -1186,6 +1169,14 @@ mod tests {
             other => panic!("unexpected event {other:?}"),
         }
         assert_eq!(reactor.notify_wakeups(), 2);
+        // The reactor-wide hook coalesces and re-arms the same way.
+        let wake = reactor.wake_handle();
+        for round in 3..5 {
+            wake.notify();
+            wake.notify();
+            assert!(matches!(reactor.poll(), Event::Wake));
+            assert_eq!(reactor.notify_wakeups(), round);
+        }
     }
 
     #[test]
@@ -1297,28 +1288,45 @@ mod tests {
     }
 
     #[test]
-    fn wake_handle_registers_connections_and_shutdown_is_reported() {
+    fn a_watched_listener_reports_pending_connections_until_paused_or_unwatched() {
         let listener = TcpTransport::bind(&"tcp:127.0.0.1:0".parse::<Endpoint>().unwrap())
             .expect("bind loopback");
-        let endpoint = listener.local_endpoint().clone();
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
         let mut reactor: Reactor<TcpStream> = Reactor::new().expect("reactor");
-        let wake = reactor.wake_handle();
-        let poster = std::thread::spawn(move || {
-            let _client = TcpTransport::connect(&endpoint).expect("connect");
-            let served = listener.accept().expect("accept");
-            wake.accepted(served);
-            wake.shutdown();
-            _client
-        });
+        reactor.watch_listener(Some(listener.as_raw_fd()));
+        let quiet = |reactor: &mut Reactor<TcpStream>| {
+            reactor.poll_timeout(Duration::from_millis(50)).is_none()
+        };
+        assert!(quiet(&mut reactor), "no connection is pending");
+
+        let _first = TcpTransport::connect(listener.local_endpoint()).expect("connect");
         match reactor.poll() {
-            Event::Accepted(_) => {}
+            Event::Acceptable => {}
             other => panic!("unexpected event {other:?}"),
         }
+        reactor
+            .register(listener.accept().expect("accept"))
+            .expect("register");
         assert_eq!(reactor.connections(), 1);
+        assert!(quiet(&mut reactor), "nothing left to accept");
+
+        // A paused listener rejoins the set when its back-off ends.
+        let _second = TcpTransport::connect(listener.local_endpoint()).expect("connect");
+        let paused = Instant::now();
+        reactor.pause_listener(Duration::from_millis(150));
         match reactor.poll() {
-            Event::Shutdown => {}
+            Event::Acceptable => {}
             other => panic!("unexpected event {other:?}"),
         }
-        poster.join().expect("poster thread");
+        assert!(
+            paused.elapsed() >= Duration::from_millis(140),
+            "back-off honoured"
+        );
+
+        // An unwatched listener is never reported.
+        reactor.watch_listener(None);
+        assert!(quiet(&mut reactor), "unwatched");
     }
 }

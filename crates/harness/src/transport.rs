@@ -14,20 +14,18 @@
 //!   needs: wake a peer parked in a blocking read without cutting off a
 //!   response still being written);
 //! - [`Listener`] — accepts streams and knows its *resolved* local
-//!   endpoint (so `tcp:127.0.0.1:0` gains its real port after bind)
-//!   plus a self-dialable form ([`Listener::dial_endpoint`]: wildcard
-//!   hosts become loopback);
+//!   endpoint (so `tcp:127.0.0.1:0` gains its real port after bind);
 //! - [`Transport`] — pairs the two with `bind`/`connect`, implemented
 //!   by [`UnixTransport`], [`TcpTransport`], and the scheme-dispatching
 //!   [`AnyTransport`].
 //!
 //! The traits are deliberately minimal: exactly the surface the service
 //! stack uses (`Read` + `Write`, `AsRawFd`, `try_clone`,
-//! `shutdown_read`, `set_nonblocking`, blocking `accept`), nothing
-//! speculative. Code generic over [`Transport`] is oblivious to the
-//! address family; code that must pick one at runtime (a `--listen`
-//! flag, a `--fleet` list) uses [`AnyTransport`], which dispatches on
-//! the endpoint's scheme.
+//! `shutdown_read`, `set_nonblocking`, `accept`), nothing speculative.
+//! Code generic over [`Transport`] is oblivious to the address family;
+//! code that must pick one at runtime (a `--listen` flag, a `--fleet`
+//! list) uses [`AnyTransport`], which dispatches on the endpoint's
+//! scheme.
 //!
 //! ## Addressing
 //!
@@ -216,12 +214,12 @@ fn scheme_mismatch(transport: &str, endpoint: &Endpoint) -> io::Error {
 /// A bidirectional byte stream a service connection runs over.
 ///
 /// `try_clone` yields an independently owned handle to the *same*
-/// connection (one side may read while the other writes — the service
-/// splits every connection this way). `shutdown_read` half-closes:
-/// a peer parked in a blocking read on the other handle wakes with EOF,
-/// while writes on this connection keep working — the primitive behind
-/// the service's shutdown drain. [`AsRawFd`] is what the reactor
-/// ([`crate::reactor`]) hands to `poll(2)`.
+/// connection (one side may read while the other writes — a blocking
+/// client splits its connection this way). `shutdown_read` half-closes:
+/// a read on either handle sees EOF, while writes on this connection
+/// keep working — the service's shutdown drain uses it to tell peers
+/// that no further request will be read. [`AsRawFd`] is what the
+/// reactor ([`crate::reactor`]) hands to `poll(2)`.
 pub trait Stream: Read + Write + AsRawFd + Send + Sized + 'static {
     /// A second owned handle to the same underlying connection.
     fn try_clone(&self) -> io::Result<Self>;
@@ -240,28 +238,27 @@ pub trait Stream: Read + Write + AsRawFd + Send + Sized + 'static {
 }
 
 /// Accepts inbound [`Stream`]s for one bound endpoint.
-pub trait Listener: Send + Sync + Sized + 'static {
+///
+/// [`AsRawFd`] and [`set_nonblocking`](Listener::set_nonblocking) are
+/// what the reactor ([`crate::reactor`]) needs to watch the listener
+/// in the same `poll(2)` set as its connections.
+pub trait Listener: AsRawFd + Send + Sync + Sized + 'static {
     /// The stream type this listener produces.
     type Stream: Stream;
 
-    /// Block until a peer connects.
+    /// Take the next pending connection: block until a peer connects,
+    /// or in nonblocking mode fail with [`io::ErrorKind::WouldBlock`]
+    /// when none is pending.
     fn accept(&self) -> io::Result<Self::Stream>;
+
+    /// Switch `accept` between blocking and nonblocking mode.
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
 
     /// The *resolved* local endpoint, faithful to the bind: port 0
     /// becomes the real port, but a wildcard host (`0.0.0.0`/`::`)
     /// stays a wildcard — this is the address to report to operators
-    /// ("listening on all interfaces"), not necessarily one to dial.
+    /// ("listening on all interfaces").
     fn local_endpoint(&self) -> &Endpoint;
-
-    /// An endpoint *this host* can dial to reach the listener: like
-    /// [`local_endpoint`](Listener::local_endpoint), but with a
-    /// wildcard host replaced by a loopback literal. This is what the
-    /// service's shutdown self-dial uses; for listeners whose local
-    /// endpoint is already dialable (unix paths, concrete hosts) the
-    /// two are the same, which the default method reflects.
-    fn dial_endpoint(&self) -> &Endpoint {
-        self.local_endpoint()
-    }
 
     /// Release any on-disk artifacts of the bind (the Unix listener's
     /// socket file). Called by the service after the drain; a no-op for
@@ -331,12 +328,22 @@ impl Listener for UnixTransportListener {
         self.inner.accept().map(|(stream, _)| stream)
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
+    }
+
     fn local_endpoint(&self) -> &Endpoint {
         &self.local
     }
 
     fn cleanup(&self) {
         std::fs::remove_file(&self.path).ok();
+    }
+}
+
+impl AsRawFd for UnixTransportListener {
+    fn as_raw_fd(&self) -> RawFd {
+        self.inner.as_raw_fd()
     }
 }
 
@@ -402,13 +409,11 @@ pub const TCP_CONNECT_TIMEOUT: std::time::Duration = std::time::Duration::from_s
 pub struct TcpTransport;
 
 /// [`TcpTransport`]'s listening half, carrying the resolved local
-/// endpoint (real port for `:0` binds) and its self-dialable form
-/// (loopback for wildcard hosts).
+/// endpoint (real port for `:0` binds).
 #[derive(Debug)]
 pub struct TcpTransportListener {
     inner: TcpListener,
     local: Endpoint,
-    dial: Endpoint,
 }
 
 impl Stream for TcpStream {
@@ -434,12 +439,18 @@ impl Listener for TcpTransportListener {
         Ok(stream)
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.inner.set_nonblocking(nonblocking)
+    }
+
     fn local_endpoint(&self) -> &Endpoint {
         &self.local
     }
+}
 
-    fn dial_endpoint(&self) -> &Endpoint {
-        &self.dial
+impl AsRawFd for TcpTransportListener {
+    fn as_raw_fd(&self) -> RawFd {
+        self.inner.as_raw_fd()
     }
 }
 
@@ -462,23 +473,11 @@ impl Transport for TcpTransport {
         };
         let inner = TcpListener::bind(authority.as_str())?;
         let addr = inner.local_addr()?;
-        // `local` is faithful to the bind (a wildcard stays a wildcard —
-        // the operator should see "listening on all interfaces"), while
-        // `dial` is an address this host can actually connect to, which
-        // for a wildcard bind means loopback.
-        let dial_ip: std::net::IpAddr = if addr.ip().is_unspecified() {
-            if addr.is_ipv6() {
-                std::net::Ipv6Addr::LOCALHOST.into()
-            } else {
-                std::net::Ipv4Addr::LOCALHOST.into()
-            }
-        } else {
-            addr.ip()
-        };
+        // Faithful to the bind: a wildcard stays a wildcard — the
+        // operator should see "listening on all interfaces".
         Ok(TcpTransportListener {
             inner,
             local: Endpoint::Tcp(tcp_authority(&addr.ip(), addr.port())),
-            dial: Endpoint::Tcp(tcp_authority(&dial_ip, addr.port())),
         })
     }
 
@@ -605,6 +604,13 @@ impl Listener for AnyListener {
         }
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        match self {
+            AnyListener::Unix(listener) => listener.set_nonblocking(nonblocking),
+            AnyListener::Tcp(listener) => listener.set_nonblocking(nonblocking),
+        }
+    }
+
     fn local_endpoint(&self) -> &Endpoint {
         match self {
             AnyListener::Unix(listener) => listener.local_endpoint(),
@@ -612,17 +618,19 @@ impl Listener for AnyListener {
         }
     }
 
-    fn dial_endpoint(&self) -> &Endpoint {
-        match self {
-            AnyListener::Unix(listener) => listener.dial_endpoint(),
-            AnyListener::Tcp(listener) => listener.dial_endpoint(),
-        }
-    }
-
     fn cleanup(&self) {
         match self {
             AnyListener::Unix(listener) => listener.cleanup(),
             AnyListener::Tcp(listener) => listener.cleanup(),
+        }
+    }
+}
+
+impl AsRawFd for AnyListener {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            AnyListener::Unix(listener) => listener.as_raw_fd(),
+            AnyListener::Tcp(listener) => listener.as_raw_fd(),
         }
     }
 }
@@ -714,19 +722,12 @@ mod tests {
     }
 
     #[test]
-    fn wildcard_binds_stay_faithful_but_dial_as_loopback() {
+    fn wildcard_binds_report_the_wildcard_with_the_resolved_port() {
         let listener = TcpTransport::bind(&"tcp:0.0.0.0:0".parse().unwrap()).expect("bind");
         // The reported endpoint tells the truth: all interfaces.
         let local = listener.local_endpoint().to_string();
         assert!(local.starts_with("tcp:0.0.0.0:"), "{local}");
         assert!(!local.ends_with(":0"), "port resolved");
-        // The dial form is something this host can actually connect to.
-        let dial = listener.dial_endpoint().to_string();
-        assert!(dial.starts_with("tcp:127.0.0.1:"), "{dial}");
-        let _client = TcpTransport::connect(listener.dial_endpoint()).expect("self-dialable");
-        // Concrete-host binds dial as themselves.
-        let concrete = TcpTransport::bind(&"tcp:127.0.0.1:0".parse().unwrap()).expect("bind");
-        assert_eq!(concrete.local_endpoint(), concrete.dial_endpoint());
     }
 
     #[test]
@@ -791,13 +792,21 @@ mod tests {
         read_half_shutdown_contract::<TcpTransport>(&"tcp:127.0.0.1:0".parse().unwrap());
     }
 
-    /// The contract the reactor depends on: in nonblocking mode a read
-    /// from a silent peer returns `WouldBlock` instead of parking, and
-    /// data that has arrived is still readable.
+    /// The contract the reactor depends on: in nonblocking mode an
+    /// accept with no pending peer and a read from a silent peer return
+    /// `WouldBlock` instead of parking, and data that has arrived is
+    /// still readable.
     fn nonblocking_readiness_contract<T: Transport>(endpoint: &Endpoint) {
         let listener = T::bind(endpoint).expect("bind");
-        let dial = listener.dial_endpoint().clone();
-        let mut client = T::connect(&dial).expect("connect");
+        listener
+            .set_nonblocking(true)
+            .expect("nonblocking listener");
+        let Err(error) = listener.accept() else {
+            panic!("no peer is pending");
+        };
+        assert_eq!(error.kind(), io::ErrorKind::WouldBlock, "{error}");
+        listener.set_nonblocking(false).expect("blocking listener");
+        let mut client = T::connect(listener.local_endpoint()).expect("connect");
         let mut server = listener.accept().expect("accept");
         server.set_nonblocking(true).expect("nonblocking mode");
 

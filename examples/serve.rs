@@ -36,13 +36,6 @@
 //!                   (assert the exposition parses and carries latency
 //!                   histogram buckets), probe `health` before and
 //!                   after the shutdown drain
-//!   --reactor-check smoke mode: park 128 idle `subscribe` connections
-//!                   in one daemon and prove each costs a reactor
-//!                   table entry, not a thread — active_connections
-//!                   grows, the thread census and worker count do
-//!                   not, a probe run is still served promptly, and
-//!                   the shutdown drain hands every idle stream a
-//!                   clean EOF
 //!   --admission-check
 //!                   smoke mode: saturate a 1-worker daemon with
 //!                   batch-priority bulk runs, prove a high-priority
@@ -64,7 +57,7 @@ use oranges_campaign::prelude::*;
 use oranges_campaign::service::{
     CampaignService, RunOptions, ServiceClient, ServiceConfig, ServiceError,
 };
-use oranges_harness::transport::{AnyTransport, Stream as _, TcpTransport, Transport};
+use oranges_harness::transport::{AnyTransport, TcpTransport};
 use std::path::PathBuf;
 
 struct Options {
@@ -77,28 +70,16 @@ struct Options {
     fleet_check: bool,
     metrics_check: bool,
     admission_check: bool,
-    reactor_check: bool,
 }
 
-/// The long-running daemon's default endpoint: a well-known unix socket
-/// where unix sockets exist, a fixed TCP loopback port elsewhere.
+/// The long-running daemon's default endpoint: a well-known unix socket.
 fn default_listen() -> Endpoint {
-    if cfg!(unix) {
-        Endpoint::Unix(std::env::temp_dir().join("oranges-campaign.sock"))
-    } else {
-        "tcp:127.0.0.1:7771".parse().expect("static endpoint")
-    }
+    Endpoint::Unix(std::env::temp_dir().join("oranges-campaign.sock"))
 }
 
 /// A private, collision-free endpoint for the check modes.
 fn private_endpoint(tag: &str) -> Endpoint {
-    if cfg!(unix) {
-        Endpoint::Unix(
-            std::env::temp_dir().join(format!("oranges-{tag}-{}.sock", std::process::id())),
-        )
-    } else {
-        "tcp:127.0.0.1:0".parse().expect("static endpoint")
-    }
+    Endpoint::Unix(std::env::temp_dir().join(format!("oranges-{tag}-{}.sock", std::process::id())))
 }
 
 fn parse_options() -> Options {
@@ -112,7 +93,6 @@ fn parse_options() -> Options {
         fleet_check: false,
         metrics_check: false,
         admission_check: false,
-        reactor_check: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -139,7 +119,6 @@ fn parse_options() -> Options {
             "--fleet-check" => options.fleet_check = true,
             "--metrics-check" => options.metrics_check = true,
             "--admission-check" => options.admission_check = true,
-            "--reactor-check" => options.reactor_check = true,
             other => panic!("unknown option {other}"),
         }
     }
@@ -178,13 +157,6 @@ fn main() {
             .listen
             .unwrap_or_else(|| private_endpoint("admission-check"));
         admission_check(endpoint);
-        return;
-    }
-    if options.reactor_check {
-        let endpoint = options
-            .listen
-            .unwrap_or_else(|| private_endpoint("reactor-check"));
-        reactor_check(endpoint, options.workers);
         return;
     }
 
@@ -771,162 +743,5 @@ fn admission_check(endpoint: Endpoint) {
     println!(
         "admission-check [{capped_local}]: cap 2 refused 4 fresh units with a typed busy \
          rejection, then admitted 2 — OK"
-    );
-}
-
-/// This process's thread count (Linux `/proc/self/status`); `None`
-/// elsewhere. The reactor check uses it to prove idle connections do
-/// not cost threads.
-fn thread_census() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("Threads:"))?;
-    line.split_whitespace().nth(1)?.parse().ok()
-}
-
-/// The CI reactor smoke: park a fleet of idle `subscribe` connections
-/// in one daemon and prove the reactor's scaling claim end to end —
-/// every parked connection is a registered table entry
-/// (`active_connections` and `reactor_registered_connections` grow),
-/// while the thread census and `workers_alive` stay exactly where they
-/// were; a probe run submitted over the parked fleet is still served;
-/// and the shutdown drain ends every idle stream with a clean EOF.
-fn reactor_check(endpoint: Endpoint, workers: usize) {
-    use oranges_harness::reactor::FrameBuffer;
-    use std::io::{Read, Write};
-
-    const IDLE: usize = 128;
-    let service =
-        CampaignService::<AnyTransport>::bind(ServiceConfig::new(endpoint).with_workers(workers))
-            .expect("bind");
-    let local = service.local_endpoint().clone();
-    let daemon = std::thread::spawn(move || service.serve().expect("serve"));
-
-    let mut client = ServiceClient::<AnyTransport>::connect(&local).expect("connect");
-    let baseline_workers = client.health().expect("health").workers_alive;
-    let threads_before = thread_census();
-
-    struct Idle {
-        stream: <AnyTransport as Transport>::Stream,
-        frame: FrameBuffer,
-        acked: bool,
-        eof: bool,
-    }
-    let drain = |subs: &mut [Idle]| {
-        let mut chunk = [0u8; 4096];
-        for sub in subs.iter_mut() {
-            if sub.eof {
-                continue;
-            }
-            loop {
-                match sub.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        sub.eof = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        sub.frame.extend(&chunk[..n]);
-                        while sub.frame.next_line().expect("utf8 stream").is_some() {
-                            sub.acked = true;
-                        }
-                    }
-                    Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(error) => panic!("idle subscriber socket failed: {error}"),
-                }
-            }
-        }
-    };
-
-    // Park the fleet.
-    let mut subs: Vec<Idle> = Vec::with_capacity(IDLE);
-    for i in 0..IDLE {
-        let mut stream = loop {
-            match AnyTransport::connect(&local) {
-                Ok(stream) => break stream,
-                Err(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
-            }
-        };
-        stream
-            .write_all(format!("{{\"id\":{i},\"method\":\"subscribe\"}}\n").as_bytes())
-            .expect("send subscribe");
-        stream
-            .set_nonblocking(true)
-            .expect("nonblocking subscriber");
-        subs.push(Idle {
-            stream,
-            frame: FrameBuffer::new(),
-            acked: false,
-            eof: false,
-        });
-    }
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while !subs.iter().all(|s| s.acked) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "not every subscription was acknowledged"
-        );
-        drain(&mut subs);
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-
-    // The scaling claim: table entries grew, the thread census did not.
-    let stats = client.stats().expect("stats under fleet");
-    assert_eq!(stats.gauges.event_subscribers as usize, IDLE);
-    assert_eq!(
-        stats.summary.active_connections as usize,
-        IDLE + 1,
-        "every idle subscription is an active connection"
-    );
-    assert_eq!(
-        stats.gauges.reactor_registered_connections as usize,
-        IDLE + 1,
-        "every idle subscription is a reactor table entry"
-    );
-    let health = client.health().expect("health under fleet");
-    assert_eq!(
-        health.workers_alive, baseline_workers,
-        "idle connections must not touch the compute plane"
-    );
-    let threads_now = thread_census();
-    if let (Some(before), Some(now)) = (threads_before, threads_now) {
-        assert_eq!(
-            now, before,
-            "{IDLE} idle connections spawned threads — the reactor is not O(1) threads"
-        );
-    }
-
-    // The daemon still serves compute over the parked fleet.
-    let spec = CampaignSpec::new(
-        vec![ExperimentKind::Fig4, ExperimentKind::Contention],
-        vec![ChipGeneration::M1, ChipGeneration::M3],
-    )
-    .with_power_sizes(vec![2048]);
-    let outcome = client.run(&spec).expect("probe run over the parked fleet");
-    assert_eq!(outcome.units.len(), 4, "2 kinds x 2 chips");
-    drain(&mut subs);
-
-    // Drain: every idle stream must end with a clean EOF.
-    client.shutdown().expect("shutdown");
-    while !subs.iter().all(|s| s.eof) {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "drain left idle streams open"
-        );
-        drain(&mut subs);
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    for sub in &subs {
-        assert_eq!(sub.frame.buffered(), 0, "no torn frame at EOF");
-    }
-    let summary = daemon.join().expect("daemon thread");
-    assert_eq!(summary.events_dropped, 0, "no subscriber fell behind");
-    assert_eq!(summary.active_connections, 0, "all drained");
-    println!(
-        "reactor-check [{local}]: {IDLE} idle subscriptions = {} reactor entries, \
-         thread census {} -> {} (flat), workers {} (unchanged); probe run served, \
-         drain delivered {IDLE} clean EOFs — OK",
-        IDLE + 1,
-        threads_before.map_or("n/a".into(), |t: u64| t.to_string()),
-        threads_now.map_or("n/a".into(), |t: u64| t.to_string()),
-        baseline_workers,
     );
 }

@@ -15,10 +15,15 @@ use oranges_campaign::prelude::*;
 use oranges_campaign::service::{
     CampaignService, RunOptions, ServiceClient, ServiceConfig, ServiceError, ServiceSummary,
 };
-use oranges_harness::transport::UnixTransport;
-use oranges_harness::transport::{Endpoint, TcpTransport, Transport};
+use oranges_harness::transport::{Endpoint, TcpTransport, Transport, UnixTransport};
+use oranges_harness::transport::{Listener, TcpTransportListener};
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::os::fd::{AsRawFd, RawFd};
 use std::path::PathBuf;
+use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("oranges-svc-{}-{name}", std::process::id()))
@@ -317,23 +322,32 @@ fn an_oversize_request_line_closes_only_its_connection_over<T: TestTransport>() 
 
 fn shutdown_drains_even_with_an_idle_connection_open_over<T: TestTransport>() {
     // Regression: a client that connects and then goes quiet must not
-    // block shutdown — its handler thread is parked in a blocking read,
-    // and the daemon half-closes the read side to wake it.
-    let (endpoint, daemon) = start_daemon::<T>("idle-drain", |c| c);
+    // block shutdown — the drain closes its idle table entry with a
+    // clean EOF. A wildcard TCP bind drains the same way.
+    let mut listens = vec![T::endpoint(&format!("{}-idle-drain", T::TAG))];
+    if T::TAG == "tcp" {
+        listens.push("tcp:0.0.0.0:0".parse().expect("static endpoint"));
+    }
+    for listen in listens {
+        let service = CampaignService::<T>::bind(ServiceConfig::new(listen).with_workers(2))
+            .expect("bind service");
+        let endpoint = service.local_endpoint().clone();
+        let daemon = std::thread::spawn(move || service.serve().expect("serve"));
 
-    let mut idle = ServiceClient::<T>::connect(&endpoint).expect("idle client connects");
-    idle.ping().expect("idle client is live");
-    // `idle` stays open and silent while another client asks to stop.
+        let mut idle = ServiceClient::<T>::connect(&endpoint).expect("idle client connects");
+        idle.ping().expect("idle client is live");
+        // `idle` stays open and silent while another client asks to stop.
 
-    let mut closer = ServiceClient::<T>::connect(&endpoint).expect("closer connects");
-    closer.shutdown().expect("shutdown accepted");
+        let mut closer = ServiceClient::<T>::connect(&endpoint).expect("closer connects");
+        closer.shutdown().expect("shutdown accepted");
 
-    let summary = daemon
-        .join()
-        .expect("daemon returned despite the idle peer");
-    assert_eq!(summary.connections, 2);
-    assert_eq!(summary.active_connections, 0, "idle connection drained");
-    drop(idle);
+        let summary = daemon
+            .join()
+            .expect("daemon returned despite the idle peer");
+        assert_eq!(summary.connections, 2, "{endpoint}");
+        assert_eq!(summary.active_connections, 0, "idle connection drained");
+        drop(idle);
+    }
 }
 
 fn sequential_connections_share_the_warm_cache_over<T: TestTransport>() {
@@ -1176,6 +1190,175 @@ fn a_thousand_idle_subscribers_ride_along_eight_active_clients_over<T: TestTrans
     assert_eq!(summary.events_dropped, 0);
     assert_eq!(summary.active_connections, 0, "all drained");
     assert_eq!(summary.connections as usize, subscribers + 9);
+}
+
+/// CPU time (`utime + stime`, fields 14–15) of the calling thread.
+#[cfg(target_os = "linux")]
+fn thread_cpu_time() -> Duration {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("thread stat");
+    // Fields count from 1; the command (field 2) ends at the last ')'.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm") + 2..]
+        .split(' ')
+        .collect();
+    let ticks: u64 =
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+    // USER_HZ is 100 on every Linux target.
+    Duration::from_millis(ticks * 10)
+}
+
+/// A transport whose listener is a real TCP socket — readable once a
+/// client dials it — but whose every accept fails with `EMFILE`, the
+/// shape of a daemon out of file descriptors.
+struct FailingAccept;
+
+struct FailingListener(TcpTransportListener);
+
+impl AsRawFd for FailingListener {
+    fn as_raw_fd(&self) -> RawFd {
+        self.0.as_raw_fd()
+    }
+}
+
+impl Listener for FailingListener {
+    type Stream = TcpStream;
+
+    fn accept(&self) -> io::Result<TcpStream> {
+        Err(io::Error::from_raw_os_error(24)) // EMFILE
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.0.set_nonblocking(nonblocking)
+    }
+
+    fn local_endpoint(&self) -> &Endpoint {
+        self.0.local_endpoint()
+    }
+}
+
+impl Transport for FailingAccept {
+    type Stream = TcpStream;
+    type Listener = FailingListener;
+
+    fn bind(endpoint: &Endpoint) -> io::Result<FailingListener> {
+        TcpTransport::bind(endpoint).map(FailingListener)
+    }
+
+    fn connect(endpoint: &Endpoint) -> io::Result<TcpStream> {
+        TcpTransport::connect(endpoint)
+    }
+}
+
+/// A listener that stays readable while every accept fails must not
+/// spin the dispatch loop: each failure takes it out of the poll set
+/// for 20 ms, and 64 in a row end `serve` with the give-up error —
+/// after the cache is persisted.
+#[cfg(target_os = "linux")]
+#[test]
+fn persistent_accept_failures_back_off_then_give_up_with_the_cache_persisted() {
+    let cache = temp_path("give-up-cache.json");
+    std::fs::remove_file(&cache).ok();
+    let listen: Endpoint = "tcp:127.0.0.1:0".parse().expect("static endpoint");
+    let service = CampaignService::<FailingAccept>::bind(
+        ServiceConfig::new(listen)
+            .with_workers(1)
+            .with_cache_path(&cache),
+    )
+    .expect("bind");
+    // The kernel completes the handshake, so the listener is readable.
+    let _client = TcpTransport::connect(service.local_endpoint()).expect("connect");
+
+    let (cpu_before, started) = (thread_cpu_time(), Instant::now());
+    let error = service.serve().expect_err("every accept fails");
+    let (cpu, wall) = (thread_cpu_time() - cpu_before, started.elapsed());
+    assert!(
+        error
+            .to_string()
+            .contains("accepting connection (giving up)"),
+        "{error}"
+    );
+    assert!(
+        wall >= Duration::from_millis(63 * 20),
+        "backed off: {wall:?}"
+    );
+    assert!(wall < Duration::from_secs(30), "gave up in {wall:?}");
+    assert!(cpu * 4 < wall, "spun: {cpu:?} of CPU in {wall:?}");
+    assert!(cache.exists(), "the cache was persisted");
+    std::fs::remove_file(&cache).ok();
+}
+
+/// The daemon's thread census is flat in its connection count: a
+/// `campaign_worker` child — its own process, so no other test's
+/// threads count — runs its engine workers plus two threads (the
+/// dispatch loop and the engine's deadline reaper), both idle and with
+/// 128 acknowledged idle subscribers parked on it.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_daemon_runs_workers_plus_two_threads_idle_and_with_128_idle_subscribers() {
+    const WORKERS: usize = 2;
+    const IDLE: usize = 128;
+
+    /// Kills and reaps the daemon if the test fails before shutdown.
+    struct Reap(Child);
+    impl Drop for Reap {
+        fn drop(&mut self) {
+            self.0.kill().ok();
+            self.0.wait().ok();
+        }
+    }
+
+    let listen = format!("unix:{}", temp_path("census.sock").display());
+    let mut daemon = Reap(
+        Command::new(env!("CARGO_BIN_EXE_campaign_worker"))
+            .args(["--campaign-worker", "--listen", &listen, "--workers", "2"])
+            .stdout(Stdio::piped())
+            .spawn()
+            .expect("spawn the daemon"),
+    );
+    let mut ready = String::new();
+    BufReader::new(daemon.0.stdout.take().expect("piped stdout"))
+        .read_line(&mut ready)
+        .expect("readiness line");
+    let endpoint: Endpoint = ready
+        .trim()
+        .parse()
+        .expect("the daemon prints its endpoint");
+    let census = || -> usize {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", daemon.0.id()))
+            .expect("daemon status");
+        let line = status
+            .lines()
+            .find(|line| line.starts_with("Threads:"))
+            .expect("a Threads line");
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    };
+
+    // A round trip first: the daemon is serving, not just bound.
+    let mut client = ServiceClient::<UnixTransport>::connect(&endpoint).expect("connect");
+    client.ping().expect("ping");
+    assert_eq!(census(), WORKERS + 2, "idle daemon");
+
+    let subscribers: Vec<_> = (0..IDLE)
+        .map(|i| {
+            let mut stream = UnixTransport::connect(&endpoint).expect("subscriber connects");
+            stream
+                .write_all(format!("{{\"id\":{i},\"method\":\"subscribe\"}}\n").as_bytes())
+                .expect("send subscribe");
+            let mut ack = String::new();
+            BufReader::new(&mut stream)
+                .read_line(&mut ack)
+                .expect("read the ack");
+            assert!(ack.contains("\"subscribed\""), "{ack}");
+            stream
+        })
+        .collect();
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.gauges.event_subscribers as usize, IDLE);
+    assert_eq!(census(), WORKERS + 2, "{IDLE} idle subscribers");
+
+    client.shutdown().expect("shutdown");
+    let status = daemon.0.wait().expect("daemon exits");
+    assert!(status.success(), "{status}");
+    drop(subscribers);
 }
 
 /// Instantiate the whole matrix for one transport.
